@@ -317,6 +317,8 @@ def rollup_many(
                 origin=origin,
                 extras=tuple(extra[lo:hi] for extra in summed_extras),
             )
+            if validate:
+                _check_within_chunk(results[t], spans_per_active[position])
 
     for t in range(num_targets):
         chunk = results[t]
@@ -330,8 +332,6 @@ def rollup_many(
             )
             results[t] = chunk
         chunk.compute_cost = float(tuples_in[t])
-        if validate:
-            _check_within_chunk(schema, chunk)
 
     if obs is not None and obs.enabled:
         obs.metrics.counter("aggregation.batched_calls").inc()
@@ -339,11 +339,13 @@ def rollup_many(
     return results  # type: ignore[return-value]
 
 
-def _check_within_chunk(schema: CubeSchema, chunk: Chunk) -> None:
-    """Cheap sanity check: every output cell lies inside the target chunk."""
+def _check_within_chunk(
+    chunk: Chunk, spans: Sequence[tuple[int, int]]
+) -> None:
+    """Cheap sanity check: every output cell lies inside ``spans``, the
+    target chunk's per-dimension cell spans."""
     if chunk.is_empty:
         return
-    spans = schema.chunks.chunk_cell_spans(chunk.level, chunk.number)
     for d, (lo, hi) in enumerate(spans):
         axis = chunk.coords[d]
         # unravel_index sorts only dimension 0's ordinals, so the cheap

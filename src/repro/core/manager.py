@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.aggregation.aggregate import rollup_chunks, rollup_many
+# rollup_chunks is unused here but stays bound: bench/run.py wraps both
+# names on this module to trace the kernel.
+from repro.aggregation.aggregate import rollup_chunks, rollup_many  # noqa: F401
 from repro.approx.answering import ApproxAnswerer, make_answerer
 from repro.approx.contract import QueryContract, resolve_contract
 from repro.approx.estimator import CellEstimate
@@ -55,6 +57,12 @@ class QueryResult:
     aggregated: int = 0
     from_backend: int = 0
     tuples_aggregated: int = 0
+    """Rows fed to the aggregation kernel for this query's computed
+    chunks: every plan's cached leaf rows once, plus the per-level
+    partial results of a plan whose leaves span several levels (its merge
+    pass).  Intermediate lattice hops are never materialised, so for a
+    plan of more than one hop this is normally well below its
+    hop-by-hop ``Cost``."""
     lookup_visits: int = 0
     state_updates: int = 0
     reinforcements_skipped: int = 0
@@ -174,9 +182,15 @@ def write_query_log_csv(records: list[QueryLogRecord], path) -> int:
 
 @dataclass
 class _PlanExecution:
+    """What :meth:`AggregateCache._execute_plan` produced for one plan."""
+
     chunk: Chunk
     leaf_keys: set[Key] = field(default_factory=set)
+    """The cached chunks the plan read (the group two-level rule 2
+    reinforces)."""
     tuples_aggregated: int = 0
+    """Rows actually fed to the kernel: leaf rows, plus merge-pass rows
+    when the leaves lie on more than one level."""
 
 
 @dataclass(frozen=True)
@@ -437,16 +451,14 @@ class AggregateCache:
                         self.optimizer_redirects += 1
         breakdown.lookup_ms = lookup_span.elapsed_ms
 
-        # Phase 2 — aggregate computable chunks inside the cache.  Every
-        # plan of the query executes in one batch: each lattice hop of
-        # the combined plan forest is a single rollup_many pass.
+        # Phase 2 — aggregate computable chunks inside the cache, each
+        # plan fused from its cached leaves (see _execute_plan).
         results: dict[int, Chunk] = {}
         computed: list[Chunk] = []
         reinforcements: list[tuple[set[Key], float]] = []
         direct_hits = 0
         tuples_aggregated = 0
         with span(obs, "aggregate") as aggregate_span:
-            pending: list[tuple[int, PlanNode]] = []
             for number, plan in plans.items():
                 if plan is None:
                     continue
@@ -454,22 +466,15 @@ class AggregateCache:
                     results[number] = self.cache.get(query.level, number)
                     direct_hits += 1
                     continue
-                pending.append((number, plan))
-            if pending:
-                executions = self._execute_plans_batched(
-                    [plan for _, plan in pending]
+                execution = self._execute_plan(plan)
+                chunk = execution.chunk
+                chunk.compute_cost = self.cost_model.aggregation_ms(
+                    execution.tuples_aggregated
                 )
-                for (number, _), execution in zip(pending, executions):
-                    chunk = execution.chunk
-                    chunk.compute_cost = self.cost_model.aggregation_ms(
-                        execution.tuples_aggregated
-                    )
-                    results[number] = chunk
-                    computed.append(chunk)
-                    tuples_aggregated += execution.tuples_aggregated
-                    reinforcements.append(
-                        (execution.leaf_keys, chunk.compute_cost)
-                    )
+                results[number] = chunk
+                computed.append(chunk)
+                tuples_aggregated += execution.tuples_aggregated
+                reinforcements.append((execution.leaf_keys, chunk.compute_cost))
         breakdown.aggregate_ms = aggregate_span.elapsed_ms
 
         # Phase 3 — one batched backend request for everything missing.
@@ -926,6 +931,10 @@ class AggregateCache:
 
         With VCMC the aggregation cost is the maintained ``Cost`` entry —
         an O(1) read; other strategies fall back to walking the plan.
+        Both price the plan hop by hop, intermediates included, while
+        :meth:`_execute_plan` reads only the leaves (plus a merge pass):
+        the gate over-estimates aggregation, so it errs towards the
+        backend, never towards a slower in-cache answer.
         """
         costs = getattr(self.strategy, "costs", None)
         if costs is not None:
@@ -944,124 +953,53 @@ class AggregateCache:
         return agg_ms > backend_ms
 
     def _execute_plan(self, plan: PlanNode) -> _PlanExecution:
-        """Materialise a plan bottom-up from cached chunks."""
+        """Materialise a plan straight from its cached leaves.
+
+        The plan's inner nodes only say *which* leaves cover the target;
+        SUM/COUNT and the extras are additive, so the leaves are mapped to
+        the target level directly — one :func:`rollup_many` pass per
+        distinct leaf level — and no intermediate chunk is built.  Leaves
+        on more than one level can feed the same target cell, so their
+        per-level partial results are then merged by one same-level pass,
+        the way :meth:`_patch_wave` merges ``[old, delta]``.  Every leaf
+        is resolved before any kernel work, so a racing eviction raises
+        before anything is computed.
+        """
+        by_level: dict[Level, list[Chunk]] = {}
         leaf_keys: set[Key] = set()
         tuples = 0
-
-        def materialise(node: PlanNode) -> Chunk:
-            nonlocal tuples
-            if node.is_leaf:
-                chunk = self.cache.peek(node.level, node.number)
-                if chunk is None:
-                    raise ReproError(
-                        f"plan references chunk {node.number} of level "
-                        f"{node.level} which is no longer cached"
-                    )
-                leaf_keys.add((node.level, node.number))
-                return chunk
-            inputs = [materialise(child) for child in node.inputs]
-            tuples += sum(c.size_tuples for c in inputs)
-            return rollup_chunks(
-                self.schema,
-                node.level,
-                node.number,
-                inputs,
-                origin=ChunkOrigin.CACHE_COMPUTED,
-            )
-
-        chunk = materialise(plan)
+        for leaf in plan.leaves():
+            chunk = self.cache.peek(leaf.level, leaf.number)
+            if chunk is None:
+                raise ReproError(
+                    f"plan references chunk {leaf.number} of level "
+                    f"{leaf.level} which is no longer cached"
+                )
+            leaf_keys.add((leaf.level, leaf.number))
+            by_level.setdefault(leaf.level, []).append(chunk)
+            tuples += chunk.size_tuples
+        parts = [
+            self._rollup_to(plan, leaves) for leaves in by_level.values()
+        ]
+        chunk = parts[0]
+        if len(parts) > 1:
+            tuples += sum(part.size_tuples for part in parts)
+            chunk = self._rollup_to(plan, parts)
         return _PlanExecution(
             chunk=chunk, leaf_keys=leaf_keys, tuples_aggregated=tuples
         )
 
-    def _execute_plans_batched(
-        self, plans: list[PlanNode]
-    ) -> list[_PlanExecution]:
-        """Materialise many plans with one kernel pass per lattice hop.
-
-        The combined plan forest is walked bottom-up in waves; every wave
-        groups its nodes by (target level, source level) and executes each
-        group as a single :func:`rollup_many` call.  Per-plan results —
-        chunk payloads, leaf keys and the per-hop tuple accounting — are
-        identical (bit for bit) to running :meth:`_execute_plan` on each
-        plan alone: within a target, source rows keep their plan order.
-        """
-        inner: list[PlanNode] = []
-        seen: set[PlanNode] = set()
-
-        def collect(node: PlanNode) -> None:
-            if node in seen:
-                return
-            seen.add(node)
-            for child in node.inputs:
-                collect(child)
-            if not node.is_leaf:
-                inner.append(node)  # post-order: children first
-
-        for plan in plans:
-            collect(plan)
-
-        materialised: dict[PlanNode, Chunk] = {}
-
-        def resolve(node: PlanNode) -> Chunk:
-            if node.is_leaf:
-                chunk = self.cache.peek(node.level, node.number)
-                if chunk is None:
-                    raise ReproError(
-                        f"plan references chunk {node.number} of level "
-                        f"{node.level} which is no longer cached"
-                    )
-                return chunk
-            return materialised[node]
-
-        # Wave k holds the nodes whose deepest inner descendant is k hops
-        # away; post-order makes the depth computable in one sweep.
-        depth: dict[PlanNode, int] = {}
-        waves: dict[int, list[PlanNode]] = {}
-        for node in inner:
-            d = max(
-                (depth[c] + 1 for c in node.inputs if not c.is_leaf),
-                default=0,
-            )
-            depth[node] = d
-            waves.setdefault(d, []).append(node)
-        for d in sorted(waves):
-            groups: dict[tuple[Level, Level], list[PlanNode]] = {}
-            for node in waves[d]:
-                assert node.source_level is not None
-                groups.setdefault((node.level, node.source_level), []).append(
-                    node
-                )
-            for (level, _), nodes in groups.items():
-                chunks = rollup_many(
-                    self.schema,
-                    level,
-                    [node.number for node in nodes],
-                    [[resolve(c) for c in node.inputs] for node in nodes],
-                    origin=ChunkOrigin.CACHE_COMPUTED,
-                    obs=self.obs,
-                )
-                materialised.update(zip(nodes, chunks))
-
-        executions = []
-        for plan in plans:
-            leaf_keys: set[Key] = set()
-            tuples = 0
-            for node in plan.iter_nodes():
-                if node.is_leaf:
-                    leaf_keys.add((node.level, node.number))
-                else:
-                    tuples += sum(
-                        resolve(c).size_tuples for c in node.inputs
-                    )
-            executions.append(
-                _PlanExecution(
-                    chunk=materialised[plan],
-                    leaf_keys=leaf_keys,
-                    tuples_aggregated=tuples,
-                )
-            )
-        return executions
+    def _rollup_to(self, plan: PlanNode, sources: list[Chunk]) -> Chunk:
+        """One kernel pass aggregating same-level ``sources`` into the
+        plan's target chunk."""
+        return rollup_many(
+            self.schema,
+            plan.level,
+            (plan.number,),
+            (sources,),
+            origin=ChunkOrigin.CACHE_COMPUTED,
+            obs=self.obs,
+        )[0]
 
     def _salvage_from_cache(
         self, level: Level, numbers: list[int]
@@ -1077,7 +1015,7 @@ class AggregateCache:
         never to correctness.
         """
         direct: dict[int, Chunk] = {}
-        pending: list[tuple[int, PlanNode]] = []
+        executions: list[tuple[int, _PlanExecution]] = []
         unanswered: list[int] = []
         for number in numbers:
             plan = self.strategy.find(level, number)
@@ -1086,17 +1024,7 @@ class AggregateCache:
             elif plan.is_leaf:
                 direct[number] = self.cache.get(level, number)
             else:
-                pending.append((number, plan))
-        executions: list[tuple[int, _PlanExecution]] = []
-        if pending:
-            executions = list(
-                zip(
-                    [number for number, _ in pending],
-                    self._execute_plans_batched(
-                        [plan for _, plan in pending]
-                    ),
-                )
-            )
+                executions.append((number, self._execute_plan(plan)))
         return direct, executions, unanswered
 
     def _admit_wave(self, chunks: list[Chunk]) -> int:

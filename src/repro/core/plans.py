@@ -76,11 +76,14 @@ class PlanNode:
         return sum(1 for node in self.iter_nodes() if not node.is_leaf)
 
     def estimated_cost(self, sizes: SizeEstimator) -> float:
-        """Estimated tuples aggregated to execute this plan.
+        """Estimated tuples aggregated to execute this plan hop by hop.
 
         Matches :class:`~repro.core.costs.CostStore` semantics: each inner
         node reads every input chunk once, and input sizes come from the
-        analytic estimator (leaves cost nothing to read).
+        analytic estimator (leaves cost nothing to read).  The manager
+        executes a plan fused — leaves straight to the target, no
+        intermediate chunks — so this is what the strategies rank plans
+        by and an upper bound on what execution reads, not its row count.
         """
         if self.is_leaf:
             return 0.0

@@ -1,16 +1,19 @@
 """The ``kernel`` harness experiment: batched vs per-chunk kernel timings.
 
-Three micro-benchmarks, each comparing the batched aggregation engine
-against the equivalent per-chunk loop:
+Three micro-benchmarks, each comparing the aggregation engine against
+the equivalent per-chunk (or per-hop) loop:
 
 * **rollup** — aggregate every chunk of a bench level from its covering
   base chunks: N ``rollup_chunks`` calls vs one ``rollup_many`` pass.
 * **backend_fetch** — the multi-chunk backend request: N single-chunk
   ``fetch`` round trips vs one batched ``fetch`` (real compute wall-clock
   only; the simulated connection/transfer charges are excluded).
-* **phase2** — the manager's aggregate phase on a Figure-10-style plan
-  set (base level cached, VCMC plans for the bench level): per-plan
-  ``_execute_plan`` vs the forest-batched ``_execute_plans_batched``.
+* **phase2** — the manager's aggregate phase with only the base level
+  cached, on the VCMC plans of the level farthest from it (the deepest
+  chains): the hop-by-hop reference, which materialises every inner
+  node of a plan, vs the manager's fused ``_execute_plan``, which
+  aggregates the leaves straight to the target.  The "per-chunk" column
+  is the hop-by-hop arm.
 
 Each case runs at several dataset scales, because the two paths differ in
 *regime*, not just constant factor: with small chunks (few rows per
@@ -39,6 +42,7 @@ from repro.aggregation import rollup_chunks, rollup_many, set_default_validation
 from repro.core.manager import AggregateCache
 from repro.harness.common import build_components
 from repro.harness.config import ExperimentConfig
+from repro.harness.unit_experiments import execute_hop_by_hop
 from repro.schema.cube import Level
 from repro.util.tables import render_table
 from repro.util.timers import Stopwatch
@@ -158,6 +162,14 @@ def pick_bench_level(schema) -> Level:
     return max(candidates, key=lambda l: (schema.num_chunks(l), [-x for x in l]))
 
 
+def pick_deep_level(schema) -> Level:
+    """The level with more than one chunk that is the most lattice hops
+    from the base level — where hop-by-hop plan execution pays for the
+    most intermediates; ties go to the lexicographically smallest."""
+    candidates = [l for l in schema.all_levels() if schema.num_chunks(l) > 1]
+    return min(candidates, key=lambda l: (sum(l), l))
+
+
 def _best_of(repeats: int, run) -> float:
     gc.collect()  # keep collector pauses out of the timed sections
     best = float("inf")
@@ -259,8 +271,8 @@ def _bench_scale(
                 stats.compute_ms / 1000.0
             )
 
-    # Case 3 — the manager's phase-2 aggregation on VCMC plans with the
-    # base level cached (the Figure-10 aggregation-time regime).
+    # Case 3 — the manager's phase-2 aggregation on multi-hop VCMC plans
+    # with only the base level cached (the Figure-10 aggregation time).
     manager = AggregateCache(
         schema,
         backend,
@@ -270,7 +282,10 @@ def _bench_scale(
         preload=False,
     )
     manager.preload_levels([base])
-    plans = [manager.strategy.find(level, n) for n in numbers]
+    deep = pick_deep_level(schema)
+    plans = [
+        manager.strategy.find(deep, n) for n in range(schema.num_chunks(deep))
+    ]
     plans = [p for p in plans if p is not None and not p.is_leaf]
     plan_rows = sum(
         sum(
@@ -280,12 +295,13 @@ def _bench_scale(
         for plan in plans
     )
 
-    def per_plan():
+    def hop_by_hop():
+        for plan in plans:
+            execute_hop_by_hop(schema, manager.cache, plan)
+
+    def fused():
         for plan in plans:
             manager._execute_plan(plan)
-
-    def batched_plans():
-        manager._execute_plans_batched(plans)
 
     result.cases.append(
         KernelCase(
@@ -293,8 +309,8 @@ def _bench_scale(
             tuples=tuples,
             targets=len(plans),
             rows=plan_rows,
-            per_chunk_ms=_best_of(repeats, per_plan),
-            batched_ms=_best_of(repeats, batched_plans),
+            per_chunk_ms=_best_of(repeats, hop_by_hop),
+            batched_ms=_best_of(repeats, fused),
         )
     )
 

@@ -76,7 +76,7 @@ def run_aggregation_benefit(config: ExperimentConfig) -> AggregationBenefitResul
             continue  # a cached base chunk needs no aggregation
         plan = vcmc.find(level, 0)
         watch.restart()
-        _execute(components.schema, cache, plan)
+        execute_hop_by_hop(components.schema, cache, plan)
         cache_ms = watch.elapsed_ms()
 
         _, stats = components.backend.fetch([(level, 0)])
@@ -89,10 +89,12 @@ def run_aggregation_benefit(config: ExperimentConfig) -> AggregationBenefitResul
     return result
 
 
-def _execute(schema, cache, node):
+def execute_hop_by_hop(schema, cache, node):
+    """Execute a plan literally: one roll-up per inner node, every
+    intermediate chunk materialised (the paper's aggregation path)."""
     if node.is_leaf:
         return cache.peek(node.level, node.number)
-    inputs = [_execute(schema, cache, child) for child in node.inputs]
+    inputs = [execute_hop_by_hop(schema, cache, child) for child in node.inputs]
     return rollup_chunks(schema, node.level, node.number, inputs)
 
 

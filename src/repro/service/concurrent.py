@@ -21,11 +21,16 @@ four query phases:
 
 Because the lookup and aggregate phases are separate read-lock holds, a
 plan found in phase 1 can reference a chunk that a racing writer evicts
-before phase 2 materialises it.  The aggregate phase therefore
-*revalidates* per chunk: a failed materialisation (the manager's
-"no longer cached" :class:`ReproError`) triggers a bounded re-plan, and
-only if the chunk is genuinely no longer computable does it fall back to
-the backend.
+before phase 2 materialises it.  The aggregate phase therefore runs one
+plan at a time through the manager's fused executor
+(``AggregateCache._execute_plan``: the plan's cached leaves aggregated
+straight to the target level) and *revalidates* per chunk: the executor
+resolves every leaf before any kernel work, a missing one raises the
+manager's "no longer cached" :class:`ReproError`, which triggers a
+bounded re-plan, and only if the chunk is genuinely no longer computable
+does it fall back to the backend.  The sequential manager's phase 2 is
+the same per-plan loop; batching plans together under the read lock was
+measured and is no faster (``docs/perf.md``).
 
 ``serve(queries, workers=N)`` drives a stream through a bounded thread
 pool, returning per-query results in submission order.  With

@@ -132,7 +132,7 @@ def test_check_within_chunk_catches_unsorted_dimension(tiny_schema):
         counts=np.ones(3, dtype=np.int64),
     )
     with pytest.raises(ReproError, match="dimension 1"):
-        _check_within_chunk(tiny_schema, chunk)
+        _check_within_chunk(chunk, spans)
 
 
 def test_check_within_chunk_accepts_in_range_cells(tiny_schema):
@@ -148,7 +148,7 @@ def test_check_within_chunk_accepts_in_range_cells(tiny_schema):
         values=np.ones(1),
         counts=np.ones(1, dtype=np.int64),
     )
-    _check_within_chunk(tiny_schema, chunk)  # must not raise
+    _check_within_chunk(chunk, spans)  # must not raise
 
 
 # --------------------------------------------------------------------- #
