@@ -8,10 +8,17 @@ backend in a single batched request; admit the new chunks (maintaining the
 strategy's count/cost state); and reinforce the chunk groups that were
 aggregated (two-level policy, rule 2).  Per-query wall-clock is split into
 the paper's lookup / aggregation / update / backend phases (Figure 10).
+
+:meth:`AggregateCache.query` is the only implementation of those phases
+and is safe to call from any number of threads: lookup and aggregation
+run under a read lock, admission under the write lock, and the backend
+phase under no lock behind a single-flight table (``docs/service.md``).
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +37,8 @@ from repro.cache.store import ChunkCache
 from repro.cache.values import CacheValueBackend, make_value_backend
 from repro.chunks.chunk import Chunk, ChunkOrigin
 from repro.core.plans import PlanCache, PlanNode
+from repro.core.rwlock import ReadWriteLock
+from repro.core.singleflight import SingleFlightTable
 from repro.core.sizes import SizeEstimator
 from repro.core.strategies import make_strategy
 from repro.core.strategies.base import LookupStrategy
@@ -41,6 +50,11 @@ from repro.util.timers import TimeBreakdown
 from repro.workload.query import Query
 
 Key = tuple[Level, int]
+
+_MAX_REPLANS = 2
+"""How many times :meth:`AggregateCache._materialise` re-plans a chunk
+whose plan a racing eviction invalidated before leaving it to the
+backend."""
 
 
 @dataclass
@@ -193,6 +207,21 @@ class _PlanExecution:
     when the leaves lie on more than one level."""
 
 
+@dataclass
+class _Gathered:
+    """What one query has collected from the cache on its way to the
+    admission phase."""
+
+    results: dict[int, Chunk] = field(default_factory=dict)
+    computed: list[Chunk] = field(default_factory=list)
+    """The aggregated ones among ``results`` — admitted in phase 4."""
+    reinforcements: list[tuple[set[Key], float]] = field(default_factory=list)
+    """``(leaf group, benefit)`` per aggregated chunk (two-level rule 2)."""
+    direct_hits: int = 0
+    tuples_aggregated: int = 0
+    visits: int = 0
+
+
 @dataclass(frozen=True)
 class RefreshOutcome:
     """What one warehouse refresh did to the backend and the cache."""
@@ -217,6 +246,15 @@ class RefreshOutcome:
 
 class AggregateCache:
     """An active chunk cache in front of a backend database.
+
+    :meth:`query` (and what is built on it: :meth:`range_query`,
+    :meth:`query_spec`) is thread-safe — it takes the manager's
+    readers-writer lock phase by phase.  The maintenance entry points
+    (:meth:`refresh_from_backend`, :meth:`invalidate_base_chunks`,
+    preloading, adaptive idle cycles) take no lock themselves: with
+    queries in flight on other threads, call them through
+    :class:`~repro.service.ConcurrentAggregateCache`, which runs them
+    under the write lock.
 
     Parameters
     ----------
@@ -367,6 +405,15 @@ class AggregateCache:
         """Structured per-query records when ``keep_log`` is set."""
         self.queries_run = 0
         self.complete_hits = 0
+        self._rw = ReadWriteLock()
+        self.flights = SingleFlightTable()
+        self.flight_timeout_s: float | None = 60.0
+        """Liveness backstop for single-flight followers; only fires if a
+        leader thread died between claiming and publishing a fetch."""
+        self.replans = 0
+        """Lifetime plan revalidations forced by racing evictions; stays
+        0 while queries come from one thread."""
+        self._find_lock = threading.Lock()
         self.preloaded_level: Level | None = None
         if preload:
             self.preloaded_level = self.preload(headroom=preload_headroom)
@@ -417,9 +464,14 @@ class AggregateCache:
     # the query path
 
     def query(
-        self, query: Query, contract: QueryContract | None = None
+        self,
+        query: Query,
+        contract: QueryContract | None = None,
+        *,
+        numbers: Sequence[int] | None = None,
     ) -> QueryResult:
-        """Answer one query, returning its chunks and full accounting.
+        """Answer one query, returning its chunks and full accounting;
+        safe to call from any number of threads.
 
         ``contract`` selects the per-query answering tier (see
         :mod:`repro.approx.contract`): ``None`` keeps the legacy
@@ -428,173 +480,318 @@ class AggregateCache:
         the flag for this query, and an ``approx`` contract additionally
         estimates what cannot be answered exactly (requires ``approx=``
         at construction).
+
+        ``numbers`` restricts the answer to those chunk numbers of
+        ``query.level`` (non-empty; the shard-local slice of a routed
+        query); the result's accounting is then relative to that slice.
         """
-        numbers = query.chunk_numbers(self.schema)
+        level = query.level
+        if numbers is None:
+            numbers = query.chunk_numbers(self.schema)
         effective = resolve_contract(contract, self.degraded_mode)
         approx_mode = effective.wants_estimates and self.approx is not None
         breakdown = TimeBreakdown()
-        visits_before = self.strategy.total_visits
+        gathered = _Gathered()
         obs = self.obs
 
-        # Phase 1 — cache lookup: plan every chunk or mark it missing.
-        with span(obs, "lookup") as lookup_span:
-            plans: dict[int, PlanNode | None] = {
-                number: self.strategy.find(query.level, number)
-                for number in numbers
-            }
+        # Phase 1 — cache lookup, under the read lock: plan every chunk
+        # or mark it missing.
+        redirects = 0
+        with self._rw.read_locked(), span(obs, "lookup") as lookup_span:
+            plans = self._plan(level, numbers, gathered)
             if self.use_cost_optimizer:
                 for number, plan in plans.items():
                     if plan is None or plan.is_leaf:
                         continue
-                    if self._backend_is_cheaper(query.level, number, plan):
+                    if self._backend_is_cheaper(level, number, plan):
                         plans[number] = None
-                        self.optimizer_redirects += 1
+                        redirects += 1
         breakdown.lookup_ms = lookup_span.elapsed_ms
 
-        # Phase 2 — aggregate computable chunks inside the cache, each
-        # plan fused from its cached leaves (see _execute_plan).
-        results: dict[int, Chunk] = {}
-        computed: list[Chunk] = []
-        reinforcements: list[tuple[set[Key], float]] = []
-        direct_hits = 0
-        tuples_aggregated = 0
-        with span(obs, "aggregate") as aggregate_span:
-            for number, plan in plans.items():
-                if plan is None:
-                    continue
-                if plan.is_leaf:
-                    results[number] = self.cache.get(query.level, number)
-                    direct_hits += 1
-                    continue
-                execution = self._execute_plan(plan)
-                chunk = execution.chunk
-                chunk.compute_cost = self.cost_model.aggregation_ms(
-                    execution.tuples_aggregated
-                )
-                results[number] = chunk
-                computed.append(chunk)
-                tuples_aggregated += execution.tuples_aggregated
-                reinforcements.append((execution.leaf_keys, chunk.compute_cost))
+        # Phase 2 — aggregate computable chunks inside the cache, under a
+        # fresh read-lock hold.  A writer may have squeezed in since phase
+        # 1, so every materialisation revalidates its plan (_materialise).
+        with self._rw.read_locked(), span(obs, "aggregate") as aggregate_span:
+            missing = self._gather(level, plans, gathered)
         breakdown.aggregate_ms = aggregate_span.elapsed_ms
-
-        # Phase 3 — one batched backend request for everything missing.
-        # The phase's charge is the cost model's simulated milliseconds,
-        # not local wall-clock, so the span records the stats total.
-        # In degraded mode a typed backend fault does not abort the
-        # query: the missing chunks are re-planned cache-only (exact
-        # answers where the lattice still covers them) and the rest are
-        # reported as unanswered.
-        missing = [n for n, plan in plans.items() if plan is None]
         any_missing = bool(missing)
-        fetched: list[Chunk] = []
-        degraded = False
-        unanswered: tuple[int, ...] = ()
+
         estimated: list[CellEstimate] = []
         if missing and approx_mode and effective.prefer_sample:
             # The latency dial: estimate backend misses instead of
-            # fetching them.  Chunks whose estimate is wider than
-            # max_rel_error still go to the backend.
+            # fetching them (from an immutable sample snapshot, so no
+            # lock).  Chunks whose estimate is wider than max_rel_error
+            # still go to the backend.
             estimated, missing = self._estimate_chunks(
-                query.level, missing, effective
+                level, missing, effective
             )
-        if missing:
-            with span(
-                obs, "backend", chunks=len(missing)
-            ) as backend_span:
-                try:
-                    fetched, stats = self.backend.fetch(
-                        [(query.level, n) for n in missing]
+
+        # Phases 3 and 4 run under a flight guard: once this query has
+        # claimed single-flight leaderships, ANY exception on the way to
+        # the normal release must abandon them — failing unpublished
+        # flights (waking waiters with the error) and retiring published
+        # ones (whose chunks were never admitted).  Without the guard a
+        # raise after publish strands the flight in the table forever.
+        led_keys: list[Key] = []
+        led_chunks: list[Chunk] = []
+        from_backend = 0
+        degraded = False
+        unanswered: tuple[int, ...] = ()
+        try:
+            # Phase 3 — one batched backend request for everything
+            # missing, under no lock, deduplicated per chunk.  The
+            # phase's charge is the cost model's simulated milliseconds
+            # of the led fetch, not local wall-clock.
+            if missing:
+                with span(obs, "backend", chunks=len(missing)) as backend_span:
+                    led_chunks, shared, failed, charge_ms = self._fetch_missing(
+                        level, missing, led_keys, effective.degrade_ok
                     )
-                    backend_span.record(stats.total_ms)
-                except FaultError:
-                    if not effective.degrade_ok:
-                        raise
+                    if led_keys:
+                        backend_span.record(charge_ms)
+                breakdown.backend_ms = backend_span.elapsed_ms
+                for chunk in led_chunks:
+                    gathered.results[chunk.number] = chunk
+                for (_, number), chunk in shared.items():
+                    gathered.results[number] = chunk
+                from_backend = len(led_chunks) + len(shared)
+                if failed:
+                    # Degraded: the backend (or another query's flight)
+                    # failed for these chunks.  Re-running the lookup
+                    # matters even though phase 1 said 'miss': the cost
+                    # optimizer may have redirected a computable chunk,
+                    # and the cache may have gained chunks since.
+                    # Everything salvaged is exact; what neither backend
+                    # nor cache could answer is estimated when the
+                    # contract allows, and only the rest stays unanswered.
                     degraded = True
-            breakdown.backend_ms = backend_span.elapsed_ms
-            for chunk in fetched:
-                results[chunk.number] = chunk
-            if degraded:
-                with span(obs, "aggregate") as salvage_span:
-                    direct, executions, leftovers = self._salvage_from_cache(
-                        query.level, missing
-                    )
+                    failed_numbers = [number for _, number in failed]
+                    with self._rw.read_locked(), span(obs, "aggregate") as salvage_span:
+                        replanned = self._plan(level, failed_numbers, gathered)
+                        leftovers = self._gather(level, replanned, gathered)
+                    breakdown.aggregate_ms += salvage_span.elapsed_ms
                     if approx_mode and leftovers:
-                        # What neither backend nor cache could answer is
-                        # estimated; only estimates too wide for the
-                        # contract stay unanswered.
                         extra, leftovers = self._estimate_chunks(
-                            query.level, leftovers, effective
+                            level, leftovers, effective
                         )
                         estimated.extend(extra)
                     unanswered = tuple(leftovers)
-                    for number, chunk in direct.items():
-                        results[number] = chunk
-                        direct_hits += 1
-                    for number, execution in executions:
-                        chunk = execution.chunk
-                        chunk.compute_cost = self.cost_model.aggregation_ms(
-                            execution.tuples_aggregated
-                        )
-                        results[number] = chunk
-                        computed.append(chunk)
-                        tuples_aggregated += execution.tuples_aggregated
-                        reinforcements.append(
-                            (execution.leaf_keys, chunk.compute_cost)
-                        )
-                breakdown.aggregate_ms += salvage_span.elapsed_ms
 
-        # Phase 4 — admit new chunks and maintain count/cost state.
-        # Reinforcement is applied BEFORE the admissions: an insert can
-        # evict the very leaves that were just aggregated, and reinforcing
-        # first both protects the group during the victim sweep and never
-        # silently drops a reinforcement for an already-evicted leaf.
-        with span(obs, "update") as update_span:
-            state_updates = 0
-            reinforcements_skipped = 0
-            for leaf_keys, benefit in reinforcements:
-                _, skipped = self.cache.reinforce(leaf_keys, benefit)
-                reinforcements_skipped += skipped
-            state_updates += self._admit_wave(computed + fetched)
-        breakdown.update_ms = update_span.elapsed_ms
-
-        self.queries_run += 1
-        complete_hit = not estimated and (
-            not any_missing or (degraded and not unanswered)
-        )
-        if complete_hit:
-            self.complete_hits += 1
-        if degraded:
-            self.degraded_queries += 1
-        if estimated:
-            self.approx_queries += 1
-            order = {n: i for i, n in enumerate(numbers)}
-            estimated.sort(key=lambda e: order[e.number])
-        result = QueryResult(
-            query=query,
-            chunks=[results[n] for n in numbers if n in results],
-            complete_hit=complete_hit,
-            breakdown=breakdown,
-            direct_hits=direct_hits,
-            aggregated=len(computed),
-            from_backend=len(fetched),
-            tuples_aggregated=tuples_aggregated,
-            lookup_visits=self.strategy.total_visits - visits_before,
-            state_updates=state_updates,
-            reinforcements_skipped=reinforcements_skipped,
-            degraded=degraded,
-            coverage=(
-                (len(numbers) - len(unanswered) - len(estimated))
-                / len(numbers)
-            ),
-            unanswered=unanswered,
-            contract=contract.mode if contract is not None else "exact",
-            estimated=tuple(estimated),
-        )
-        if obs.enabled:
-            self._emit_query_event(result)
-        if self.keep_log:
-            self.query_log.append(QueryLogRecord.from_result(self, result))
+            # Phase 4 — admit new chunks and maintain count/cost state,
+            # under the write lock.  Reinforcement is applied BEFORE the
+            # admissions: an insert can evict the very leaves that were
+            # just aggregated, and reinforcing first both protects the
+            # group during the victim sweep and never silently drops a
+            # reinforcement for an already-evicted leaf.  The flights this
+            # query led retire only after its admissions settle, so late
+            # missers of the same chunks share the fetch instead of
+            # repeating it.
+            with self._rw.write_locked():
+                with span(obs, "update") as update_span:
+                    reinforcements_skipped = 0
+                    for leaf_keys, benefit in gathered.reinforcements:
+                        _, skipped = self.cache.reinforce(leaf_keys, benefit)
+                        reinforcements_skipped += skipped
+                    state_updates = self._admit_wave(
+                        gathered.computed + led_chunks
+                    )
+                breakdown.update_ms = update_span.elapsed_ms
+                if led_keys:
+                    self.flights.release(led_keys)
+                    led_keys.clear()
+                self.optimizer_redirects += redirects
+                self.queries_run += 1
+                complete_hit = not estimated and (
+                    not any_missing or (degraded and not unanswered)
+                )
+                if complete_hit:
+                    self.complete_hits += 1
+                if degraded:
+                    self.degraded_queries += 1
+                if estimated:
+                    self.approx_queries += 1
+                    order = {n: i for i, n in enumerate(numbers)}
+                    estimated.sort(key=lambda e: order[e.number])
+                chunks = [
+                    gathered.results[n]
+                    for n in numbers
+                    if n in gathered.results
+                ]
+                result = QueryResult(
+                    query=query,
+                    chunks=chunks,
+                    complete_hit=complete_hit,
+                    breakdown=breakdown,
+                    direct_hits=gathered.direct_hits,
+                    aggregated=len(gathered.computed),
+                    from_backend=from_backend,
+                    tuples_aggregated=gathered.tuples_aggregated,
+                    lookup_visits=gathered.visits,
+                    state_updates=state_updates,
+                    reinforcements_skipped=reinforcements_skipped,
+                    degraded=degraded,
+                    coverage=len(chunks) / len(numbers),
+                    unanswered=unanswered,
+                    contract=contract.mode if contract is not None else "exact",
+                    estimated=tuple(estimated),
+                )
+                if obs.enabled:
+                    self._emit_query_event(result)
+                if self.keep_log:
+                    self.query_log.append(
+                        QueryLogRecord.from_result(self, result)
+                    )
+        except BaseException as exc:
+            if led_keys:
+                self.flights.abandon(led_keys, exc)
+            raise
         return result
+
+    def _find(self, level: Level, number: int) -> tuple[PlanNode | None, int]:
+        """One strategy lookup plus its visit count, atomically: ``find``
+        only reads count/cost state (safe under the read lock), but its
+        ``last_find_visits`` bookkeeping is one shared slot."""
+        with self._find_lock:
+            plan = self.strategy.find(level, number)
+            return plan, self.strategy.last_find_visits
+
+    def _plan(
+        self, level: Level, numbers: Sequence[int], gathered: _Gathered
+    ) -> dict[int, PlanNode | None]:
+        """Look every chunk up; the caller holds the read lock."""
+        plans: dict[int, PlanNode | None] = {}
+        for number in numbers:
+            plans[number], visits = self._find(level, number)
+            gathered.visits += visits
+        return plans
+
+    def _gather(
+        self,
+        level: Level,
+        plans: dict[int, PlanNode | None],
+        gathered: _Gathered,
+    ) -> list[int]:
+        """Materialise every planned chunk into ``gathered`` — each plan
+        fused from its cached leaves (see :meth:`_execute_plan`) — and
+        return the numbers the cache cannot answer.  The caller holds the
+        read lock."""
+        missing: list[int] = []
+        for number, plan in plans.items():
+            chunk = execution = None
+            if plan is not None:
+                chunk, execution, visits = self._materialise(
+                    level, number, plan
+                )
+                gathered.visits += visits
+            if chunk is not None:
+                gathered.results[number] = chunk
+                gathered.direct_hits += 1
+            elif execution is not None:
+                out = execution.chunk
+                out.compute_cost = self.cost_model.aggregation_ms(
+                    execution.tuples_aggregated
+                )
+                gathered.results[number] = out
+                gathered.computed.append(out)
+                gathered.tuples_aggregated += execution.tuples_aggregated
+                gathered.reinforcements.append(
+                    (execution.leaf_keys, out.compute_cost)
+                )
+            else:
+                missing.append(number)
+        return missing
+
+    def _materialise(
+        self, level: Level, number: int, plan: PlanNode
+    ) -> tuple[Chunk | None, _PlanExecution | None, int]:
+        """Turn a plan into a chunk, revalidating against racing evictions.
+
+        Lookup and aggregation are separate read-lock holds, so a plan
+        found in phase 1 can reference a chunk a racing writer evicted
+        since.  :meth:`_execute_plan` resolves every leaf before any
+        kernel work and raises on a missing one; the chunk is then
+        re-planned (at most ``_MAX_REPLANS`` times) rather than failing
+        the query.  Returns ``(direct_chunk, execution, extra_visits)`` —
+        exactly one of the first two is non-None on success; both are
+        None when the chunk must fall back to the backend.
+        """
+        visits = 0
+        replans = 0
+        while True:
+            try:
+                if plan.is_leaf:
+                    return self.cache.get(level, number), None, visits
+                return None, self._execute_plan(plan), visits
+            except ReproError:
+                pass
+            replans += 1
+            if replans > _MAX_REPLANS:
+                return None, None, visits
+            self.replans += 1
+            if self.obs.enabled:
+                self.obs.metrics.counter("service.replans").inc()
+            plan, found_visits = self._find(level, number)
+            visits += found_visits
+            if plan is None:
+                return None, None, visits
+
+    def _fetch_missing(
+        self,
+        level: Level,
+        missing: Sequence[int],
+        led_keys: list[Key],
+        degrade_ok: bool,
+    ) -> tuple[list[Chunk], dict[Key, Chunk], list[Key], float]:
+        """Resolve the missing chunks through the single-flight table.
+
+        ``led_keys`` is the caller's (initially empty) flight guard: the
+        keys this query claimed leadership of are appended in place, so
+        they are visible to the caller's abandon handler even if this
+        method raises.  Returns the chunks fetched for the led keys, the
+        follower chunks shared from other queries' flights, the keys
+        whose resolution failed with a typed backend fault (only when
+        ``degrade_ok`` — otherwise the fault propagates), and the
+        milliseconds to charge the backend phase (the cost model's
+        simulated time for the led fetch; follower waits are wall-clock
+        and land in the span's measured time only when nothing was led).
+
+        A failed led fetch fails ONLY the led flights; joined flights
+        are still awaited, because their leaders' backends may well have
+        succeeded.  A failed follower wait, conversely, does not disturb
+        this query's own led flights.
+        """
+        keys: list[Key] = [(level, number) for number in missing]
+        claimed, joined = self.flights.claim(keys)
+        led_keys.extend(claimed)
+        led_chunks: list[Chunk] = []
+        failed: list[Key] = []
+        charge_ms = 0.0
+        if claimed:
+            try:
+                led_chunks, stats = self.backend.fetch(claimed)
+            except BaseException as exc:
+                self.flights.fail(claimed, exc)
+                led_keys.clear()
+                if not (degrade_ok and isinstance(exc, FaultError)):
+                    raise
+                failed.extend(claimed)
+            else:
+                charge_ms = stats.total_ms
+                for key, chunk in zip(claimed, led_chunks):
+                    self.flights.publish(key, chunk)
+        if joined and self.obs.enabled:
+            self.obs.metrics.counter("service.singleflight.shared").inc(
+                len(joined)
+            )
+        shared: dict[Key, Chunk] = {}
+        for key, flight in joined.items():
+            try:
+                shared[key] = self.flights.wait(flight, self.flight_timeout_s)
+            except FaultError:
+                if not degrade_ok:
+                    raise
+                failed.append(key)
+        return led_chunks, shared, failed, charge_ms
 
     def _estimate_chunks(
         self,
@@ -1000,32 +1197,6 @@ class AggregateCache:
             origin=ChunkOrigin.CACHE_COMPUTED,
             obs=self.obs,
         )[0]
-
-    def _salvage_from_cache(
-        self, level: Level, numbers: list[int]
-    ) -> tuple[dict[int, Chunk], list[tuple[int, _PlanExecution]], list[int]]:
-        """Cache-only re-lookup for chunks whose backend fetch failed.
-
-        Re-running :meth:`LookupStrategy.find` matters even though phase
-        1 already said 'miss': the cost optimizer may have redirected a
-        computable chunk to the backend, and under concurrent serving
-        the cache may have gained usable chunks since phase 1.  Returns
-        ``(direct hits, (number, execution) pairs, unanswered numbers)``;
-        every answered chunk is exact — 'degraded' refers to coverage,
-        never to correctness.
-        """
-        direct: dict[int, Chunk] = {}
-        executions: list[tuple[int, _PlanExecution]] = []
-        unanswered: list[int] = []
-        for number in numbers:
-            plan = self.strategy.find(level, number)
-            if plan is None:
-                unanswered.append(number)
-            elif plan.is_leaf:
-                direct[number] = self.cache.get(level, number)
-            else:
-                executions.append((number, self._execute_plan(plan)))
-        return direct, executions, unanswered
 
     def _admit_wave(self, chunks: list[Chunk]) -> int:
         """Admit an aggregation/fetch wave: one batched cache admission,

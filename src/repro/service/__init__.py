@@ -1,14 +1,17 @@
-"""Thread-safe concurrent serving over the aggregate cache.
+"""Concurrent serving over the aggregate cache.
 
-:class:`ConcurrentAggregateCache` wraps a sequential
-:class:`~repro.core.manager.AggregateCache` behind a phase-split
-readers-writer lock with single-flight backend fetch deduplication; see
-``docs/service.md`` for the design.
+The query pipeline — phase-split readers-writer lock, single-flight
+backend fetch deduplication — lives in
+:meth:`repro.core.manager.AggregateCache.query`;
+:class:`ConcurrentAggregateCache` is the serving façade around it
+(thread pool, adaptive hook, maintenance under the write lock).  The
+lock and flight-table classes are re-exported here from ``repro.core``;
+see ``docs/service.md`` for the design.
 """
 
+from repro.core.rwlock import ReadWriteLock
+from repro.core.singleflight import Flight, SingleFlightTable
 from repro.service.concurrent import ConcurrentAggregateCache
-from repro.service.rwlock import ReadWriteLock
-from repro.service.singleflight import Flight, SingleFlightTable
 
 __all__ = [
     "ConcurrentAggregateCache",

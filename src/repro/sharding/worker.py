@@ -14,7 +14,7 @@ copy.
 The loop is deliberately serial: one request in, one response out.
 Concurrency lives at the router, which keeps every worker busy by
 fanning out query slices from its own thread pool; inside a worker the
-full four-phase locking of :class:`~repro.service.ConcurrentAggregateCache`
+full four-phase locking of :meth:`~repro.core.manager.AggregateCache.query`
 still applies, so a future multi-pipe worker would need no changes.
 """
 
@@ -75,7 +75,6 @@ class WorkerSpec:
     guarantee)."""
     approx_seed: int = 7
     cache_values: str = "dict"
-    max_replans: int = 2
     resilient: bool = False
     resilient_seed: int | None = None
     adaptive: bool = False
@@ -125,9 +124,7 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         adaptive = AdaptivePrecomputer(
             manager, budget_fraction=spec.adaptive_budget_fraction
         )
-    return ConcurrentAggregateCache(
-        manager, max_replans=spec.max_replans, adaptive=adaptive
-    )
+    return ConcurrentAggregateCache(manager, adaptive=adaptive)
 
 
 def _preload_owned(manager: AggregateCache, spec: WorkerSpec) -> None:

@@ -192,7 +192,7 @@ def test_service_replans_a_stale_plan_then_falls_back():
     manager.cache.evict_many([victim])
     manager.strategy.on_evict_many([victim])
 
-    chunk, execution, _ = service._materialise(apex, 0, stale)
+    chunk, execution, _ = manager._materialise(apex, 0, stale)
     assert chunk is None and execution is not None
     assert service.replans == 1
     assert victim not in execution.leaf_keys
@@ -202,6 +202,6 @@ def test_service_replans_a_stale_plan_then_falls_back():
     gone = list(manager.cache.resident_keys())
     manager.cache.evict_many(gone)
     manager.strategy.on_evict_many(gone)
-    chunk, execution, _ = service._materialise(apex, 0, stale)
+    chunk, execution, _ = manager._materialise(apex, 0, stale)
     assert chunk is None and execution is None
     assert service.replans == 2

@@ -318,6 +318,7 @@ def test_repeated_query_hits_plan_cache_and_counters(
     counters = obs.snapshot()["counters"]
     assert counters["lookup.plan_cache.hits"] > 0
     assert counters["lookup.plan_cache.misses"] > 0
+    assert manager.replans == 0
 
 
 def test_stale_hits_counted_apart_from_misses(tiny_schema, tiny_facts):
@@ -349,6 +350,9 @@ def test_stale_hits_counted_apart_from_misses(tiny_schema, tiny_facts):
         + counters["lookup.plan_cache.stale_hits"]
         == manager.plan_cache.lookups
     )
+    # Single-threaded, a stale memo must be re-found by the lookup, never
+    # reach materialisation and need the re-plan path.
+    assert manager.replans == 0
 
 
 def test_plan_cache_results_match_opt_out_manager(tiny_schema, tiny_facts):
@@ -362,3 +366,4 @@ def test_plan_cache_results_match_opt_out_manager(tiny_schema, tiny_facts):
             b = without.query(query)
             assert a.total_value() == pytest.approx(b.total_value())
             assert a.complete_hit == b.complete_hit
+    assert with_cache.replans == 0 and without.replans == 0

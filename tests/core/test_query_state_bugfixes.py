@@ -79,6 +79,7 @@ def test_reinforcement_applied_before_admissions(tiny_schema, tiny_facts):
     # Sequentially nothing can vanish between aggregation and
     # reinforcement, so no reinforcement may be reported skipped.
     assert result.reinforcements_skipped == 0
+    assert manager.replans == 0
 
 
 def test_reinforce_reports_skipped_for_evicted_leaves(
@@ -142,6 +143,7 @@ def test_range_query_does_not_mutate_logged_result(tiny_schema, tiny_facts):
     record = manager.query_log[-1]
     assert record.num_chunks == inner.query.num_chunks
     assert record.tuples_aggregated == inner.tuples_aggregated
+    assert manager.replans == 0
 
 
 def test_range_query_cached_chunks_unharmed(tiny_schema, tiny_facts):
@@ -158,3 +160,4 @@ def test_range_query_cached_chunks_unharmed(tiny_schema, tiny_facts):
     manager.range_query(level, ranges)
     after = manager.query(full).total_value()
     assert after == pytest.approx(before)
+    assert manager.replans == 0

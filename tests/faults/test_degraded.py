@@ -114,6 +114,55 @@ def test_aggregation_salvage_gives_full_coverage(
     assert check_counts_invariant(manager)
 
 
+def test_sequential_outage_leaves_no_flight_behind(
+    tiny_schema, tiny_backend, monkeypatch
+):
+    """The bare manager runs the single-flight pipeline too: whatever way
+    a query leaves — degraded, or raising out of the admission phase —
+    no flight of its own may stay in the table."""
+    manager = make_manager(
+        tiny_schema, tiny_backend, use_cost_optimizer=True
+    )
+    level = tiny_schema.base_level
+    warm = Query(level, ((1, 3), (0, 2), (0, 1)))
+    manager.query(warm)
+    cached = set(warm.chunk_numbers(tiny_schema))
+    full = Query.full_level(tiny_schema, level)
+
+    with outage().armed():
+        result = manager.query(full)
+    assert result.degraded
+    assert set(result.unanswered) == (
+        set(full.chunk_numbers(tiny_schema)) - cached
+    )
+    assert result.coverage == pytest.approx(len(cached) / full.num_chunks)
+    assert manager.flights.in_progress() == 0
+
+    # Healthy backend, a non-fault error out of phase 4: the led flights
+    # were already published when it struck and must be abandoned.
+    registry = FailpointRegistry()
+    registry.fail("cache.insert", ValueError, calls={1})
+    with registry.armed():
+        with pytest.raises(ValueError):
+            manager.query(full)
+    assert manager.flights.in_progress() == 0
+    healed = manager.query(full)
+    assert healed.coverage == 1.0
+    assert healed.from_backend == len(result.unanswered)
+
+    # Outage plus the same error: the salvage pass aggregates the
+    # redirected chunks, their admission blows up.
+    monkeypatch.setattr(manager, "_backend_is_cheaper", lambda *args: True)
+    registry = outage()
+    registry.fail("cache.insert", ValueError)
+    with registry.armed():
+        with pytest.raises(ValueError):
+            manager.query(Query.full_level(tiny_schema, (1, 1, 0)))
+    assert manager.flights.in_progress() == 0
+    assert check_bytes_invariant(manager)
+    assert check_counts_invariant(manager)
+
+
 def test_unknown_errors_propagate_even_in_degraded_mode(
     tiny_schema, tiny_backend
 ):

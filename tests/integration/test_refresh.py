@@ -106,6 +106,7 @@ def test_stale_aggregates_never_served(world):
     assert fresh.total_value() == pytest.approx(
         initial.total() + delta.total()
     )
+    assert manager.replans == 0
 
 
 def test_stale_aggregates_never_served_evict_mode(world):
@@ -124,6 +125,7 @@ def test_stale_aggregates_never_served_evict_mode(world):
     assert fresh.total_value() == pytest.approx(
         initial.total() + delta.total()
     )
+    assert manager.replans == 0
 
 
 def test_unknown_refresh_mode_rejected(world):
@@ -185,6 +187,7 @@ def test_delta_refresh_preserves_all_residents():
         for chunk in result.chunks:
             got.update(chunk.cell_dict())
         assert got == pytest.approx(truth), level
+    assert manager.replans == 0
 
 
 def test_refetch_mode_matches_delta_answers():
@@ -210,6 +213,7 @@ def test_refetch_mode_matches_delta_answers():
             for chunk in result.chunks
             for cell, value in chunk.cell_dict().items()
         }
+        assert manager.replans == 0
     assert totals["delta"] == totals["refetch"]
 
 
@@ -255,6 +259,7 @@ def test_every_level_correct_after_refresh(world):
         for chunk in result.chunks:
             got.update(chunk.cell_dict())
         assert got == pytest.approx(truth), level
+    assert manager.replans == 0
 
 
 def test_repeated_refreshes(world):
@@ -269,6 +274,7 @@ def test_repeated_refreshes(world):
         expected += more.total()
         result = manager.query(Query.full_level(schema, schema.apex_level))
         assert result.total_value() == pytest.approx(expected)
+    assert manager.replans == 0
 
 
 def test_extras_merge_on_append():

@@ -167,7 +167,7 @@ def test_plan_invalidated_by_racing_eviction_replans(
             break
     assert target is not None, "need a level answered by aggregation"
 
-    original_find = service._find
+    original_find = manager._find
     sabotaged = []
 
     def racing_find(level, number):
@@ -181,12 +181,38 @@ def test_plan_invalidated_by_racing_eviction_replans(
             sabotaged.append(leaf)
         return plan, visits
 
-    service._find = racing_find
+    manager._find = racing_find
     result = service.query(Query.full_level(tiny_schema, target))
-    service._find = original_find
+    manager._find = original_find
 
     assert sabotaged, "the race was never staged"
     assert service.replans >= 1
     reference = make_manager(tiny_schema, tiny_facts, capacity_fraction=1.2)
     expected = reference.query(Query.full_level(tiny_schema, target))
     assert result.total_value() == pytest.approx(expected.total_value())
+
+
+def test_manager_numbers_matches_query_subset(tiny_schema, tiny_facts):
+    """``manager.query(numbers=...)`` is the shard-local slice the
+    service's ``query_subset`` serves, field for field; the full plan is
+    the plain query."""
+    fields = COMPARED_FIELDS + ("coverage", "unanswered", "degraded")
+
+    def same(a, b):
+        for field in fields:
+            assert getattr(a, field) == getattr(b, field), field
+        assert [c.key for c in a.chunks] == [c.key for c in b.chunks]
+        assert a.total_value() == pytest.approx(b.total_value())
+
+    sliced = make_manager(tiny_schema, tiny_facts)
+    service = ConcurrentAggregateCache(make_manager(tiny_schema, tiny_facts))
+    spelled = make_manager(tiny_schema, tiny_facts)
+    plain = make_manager(tiny_schema, tiny_facts)
+    for query in stream_for(tiny_schema, n=40):
+        numbers = list(query.chunk_numbers(tiny_schema))
+        subset = numbers[::2]
+        result = sliced.query(query, numbers=subset)
+        same(result, service.query_subset(query, subset))
+        assert [c.number for c in result.chunks] == subset
+        same(spelled.query(query, numbers=numbers), plain.query(query))
+    assert sliced.replans == 0 and service.replans == 0
