@@ -36,6 +36,7 @@ from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.store import ChunkCache
 from repro.cache.values import CacheValueBackend, make_value_backend
 from repro.chunks.chunk import Chunk, ChunkOrigin
+from repro.core.counts import CountStore
 from repro.core.plans import PlanCache, PlanNode
 from repro.core.rwlock import ReadWriteLock
 from repro.core.singleflight import SingleFlightTable
@@ -1290,6 +1291,39 @@ class AggregateCache:
     @property
     def complete_hit_ratio(self) -> float:
         return self.complete_hits / self.queries_run if self.queries_run else 0.0
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ReproError` naming the first violated invariant.
+
+        Two checks, meaningful at rest (no query or maintenance call in
+        flight): ``used_bytes`` equals the sum of resident entry sizes,
+        and every maintained :class:`~repro.core.counts.CountStore`
+        array equals one rebuilt from scratch off the resident set
+        (vacuous for strategies that keep no counts).
+        """
+        cache = self.cache
+        resident_bytes = sum(entry.size_bytes for entry in cache.entries())
+        if cache.used_bytes != resident_bytes:
+            raise ReproError(
+                f"byte accounting violated: used_bytes={cache.used_bytes} "
+                f"but resident entries sum to {resident_bytes}"
+            )
+        counts = getattr(self.strategy, "counts", None)
+        if not isinstance(counts, CountStore):
+            return
+        rebuilt = CountStore(self.schema)
+        # One key at a time: singleton waves run the scalar cascades, so
+        # the rebuild does not share the batched path it is checking.
+        for level, number in cache.resident_keys():
+            rebuilt.on_insert(level, number)
+        for level in self.schema.all_levels():
+            if not np.array_equal(
+                counts.counts_array(level), rebuilt.counts_array(level)
+            ):
+                raise ReproError(
+                    f"count maintenance violated: counts at level {level} "
+                    "differ from a rebuild off the resident set"
+                )
 
     def describe(self) -> str:
         return (

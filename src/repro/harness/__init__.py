@@ -3,7 +3,8 @@
 Every runner takes an :class:`ExperimentConfig` and returns a result object
 with a ``format()`` method that prints the same rows/series the paper
 reports.  ``python -m repro.harness`` runs them from the command line;
-``benchmarks/`` wraps them in pytest-benchmark.
+``benchmarks/`` wraps them in pytest-benchmark.  How fast the system
+itself is belongs to ``bench/`` (``BENCHMARK.json``), not here.
 """
 
 from repro.harness.config import ExperimentConfig, default_config, quick_config

@@ -25,11 +25,6 @@ from repro.harness.unit_experiments import (
 )
 
 EXPERIMENTS = (
-    "kernel",
-    "update",
-    "adaptive",
-    "delta",
-    "storage",
     "benefit",
     "cost_variation",
     "table1",
@@ -42,9 +37,6 @@ EXPERIMENTS = (
     "fig10",
     "locality",
     "ablations",
-    "service",
-    "shards",
-    "approx",
     "faults",
 )
 
@@ -74,27 +66,6 @@ def main(argv: list[str] | None = None) -> int:
             "backend chunk store: in-process dict (default) or the "
             "memory-mapped columnar file with zero-copy scans; outputs "
             "are cell-identical either way (see docs/storage.md)"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "service experiment: compare sequential serving against N "
-            "concurrent workers (default: compare 1, 4 and 8)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "shards experiment: compare a one-shard router against N "
-            "worker processes (default: 1 vs 4); --shards 1 runs only "
-            "the field-identity gate against the single-process service"
         ),
     )
     parser.add_argument(
@@ -159,50 +130,6 @@ def _run(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
         outputs.append(f"{text}\n[{name}: {elapsed:.1f}s]\n")
 
-    def _kernel() -> str:
-        from repro.harness.kernel_bench import run_kernel_benchmark
-
-        return run_kernel_benchmark(
-            config, out_path="BENCH_kernel.json"
-        ).format()
-
-    run("kernel", _kernel)
-
-    def _update() -> str:
-        from repro.harness.update_bench import run_update_benchmark
-
-        return run_update_benchmark(
-            config, out_path="BENCH_update.json"
-        ).format()
-
-    run("update", _update)
-
-    def _adaptive() -> str:
-        from repro.harness.adaptive_bench import run_adaptive_benchmark
-
-        return run_adaptive_benchmark(
-            config, out_path="BENCH_adaptive.json"
-        ).format()
-
-    run("adaptive", _adaptive)
-
-    def _delta() -> str:
-        from repro.harness.delta_bench import run_delta_benchmark
-
-        return run_delta_benchmark(
-            config, out_path="BENCH_delta.json"
-        ).format()
-
-    run("delta", _delta)
-
-    def _storage() -> str:
-        from repro.harness.storage_bench import run_storage_benchmark
-
-        return run_storage_benchmark(
-            config, out_path="BENCH_storage.json"
-        ).format()
-
-    run("storage", _storage)
     run("benefit", lambda: run_aggregation_benefit(config).format())
     run("cost_variation", lambda: run_cost_variation(config).format())
     run("table1", lambda: run_table1(config).format())
@@ -223,49 +150,6 @@ def _run(args: argparse.Namespace) -> int:
         )
 
     run("ablations", _ablations)
-
-    def _service() -> str:
-        from repro.harness.service_bench import (
-            DEFAULT_WORKER_COUNTS,
-            run_service_throughput,
-        )
-
-        if args.workers is None:
-            counts = DEFAULT_WORKER_COUNTS
-        elif args.workers <= 1:
-            counts = (1,)
-        else:
-            counts = (1, args.workers)
-        return run_service_throughput(config, worker_counts=counts).format()
-
-    run("service", _service)
-
-    def _shards() -> str:
-        from repro.harness.shards_bench import (
-            DEFAULT_SHARD_COUNTS,
-            run_shards_benchmark,
-        )
-
-        if args.shards is None:
-            counts = DEFAULT_SHARD_COUNTS
-        elif args.shards <= 1:
-            counts = (1,)
-        else:
-            counts = (1, args.shards)
-        return run_shards_benchmark(
-            config, shard_counts=counts, out_path="BENCH_shards.json"
-        ).format()
-
-    run("shards", _shards)
-
-    def _approx() -> str:
-        from repro.harness.approx_bench import run_approx_benchmark
-
-        return run_approx_benchmark(
-            config, out_path="BENCH_approx.json"
-        ).format()
-
-    run("approx", _approx)
 
     def _faults() -> str:
         from repro.harness.faults_run import run_faults_experiment

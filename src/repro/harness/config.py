@@ -56,8 +56,7 @@ class ExperimentConfig:
     store: str = "dict"
     """Backend chunk store: 'dict' (in-process) or 'mmap' (memory-mapped
     columnar file; zero-copy scans, datasets beyond RAM — docs/storage.md).
-    Experiment outputs are cell-identical across stores; BENCH_storage.json
-    gates that, plus the scan-throughput ordering."""
+    Experiment outputs are cell-identical across stores."""
 
     def make_schema(self) -> CubeSchema:
         try:

@@ -22,7 +22,7 @@ shard its slice over a pipe (:class:`ProcessShard`) or a direct call
 With one shard the merge degenerates to field identity: a
 ``ShardRouter`` over one worker returns, field for field, what
 :class:`~repro.service.ConcurrentAggregateCache` returns for the same
-stream — the harness gates this in-run (``--shards 1``).
+stream (gated in ``tests/sharding/test_router_process.py``).
 """
 
 from __future__ import annotations

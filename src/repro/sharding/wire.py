@@ -13,7 +13,7 @@ compact opcodes.
 A shard's answer to its slice of a query is a :class:`ShardPartial`:
 the slice's chunks plus exactly the accounting fields of
 :class:`~repro.core.manager.QueryResult`, so the router can both
-reconstruct a single-shard result field for field (the ``--shards 1``
+reconstruct a single-shard result field for field (the one-shard
 identity gate) and merge several partials additively.
 """
 

@@ -143,7 +143,7 @@ def _preload_owned(manager: AggregateCache, spec: WorkerSpec) -> None:
 
     At N=1 the per-shard budget *is* the fleet budget, so the level —
     and with it the whole cache state — matches the single-process
-    manager's preload exactly (the ``--shards 1`` identity gate).
+    manager's preload exactly (the one-shard identity gate).
     """
     level = choose_preload_level(
         spec.schema,

@@ -296,3 +296,32 @@ def test_concurrent_refresh_reconciles_pins():
         (entry := manager.cache.entry(base, n)) is not None and entry.resident
         for n in adaptive._pinned.get(base, [])
     )
+
+
+def test_adaptive_serving_never_changes_an_answer():
+    # The loop is an optimisation, never an approximation: a drifting
+    # stream served with promotions happening between queries returns,
+    # cell for cell, what a manager with no plan cache and no loop does.
+    from repro import ConcurrentAggregateCache
+    from repro.workload.drift import DriftingZipfStream
+
+    capacity = int(1.2 * FACTS.size_bytes)
+    plain = AggregateCache(
+        SCHEMA, BACKEND, capacity_bytes=capacity, plan_cache=False
+    )
+    manager = AggregateCache(SCHEMA, BACKEND, capacity_bytes=capacity)
+    adaptive = AdaptivePrecomputer(manager, budget_fraction=0.6)
+    service = ConcurrentAggregateCache(manager, adaptive=adaptive)
+    stream = DriftingZipfStream(
+        SCHEMA, drift_every=20, max_extent=2, seed=10832
+    )
+    for index, query in enumerate(stream.generate(60)):
+        got, want = service.query(query), plain.query(query)
+        assert [c.number for c in got.chunks] == [
+            c.number for c in want.chunks
+        ]
+        for a, b in zip(got.chunks, want.chunks):
+            assert a.cell_dict() == b.cell_dict()
+        if (index + 1) % 5 == 0:
+            service.idle_tick()
+    assert adaptive.promotions > 0

@@ -20,6 +20,7 @@ from repro.chunks.chunk import Chunk, ChunkOrigin
 from repro.obs import Observability
 from repro.schema import CubeSchema, Dimension, apb_tiny_schema
 from repro.util.errors import ChunkAlignmentError, ReproError
+from tests.helpers import assert_chunks_identical
 
 
 @st.composite
@@ -95,22 +96,6 @@ def random_source_chunk(draw, schema, level, number):
         counts=counts,
         extras=extras,
     )
-
-
-def assert_chunks_identical(got: Chunk, want: Chunk) -> None:
-    assert got.level == want.level
-    assert got.number == want.number
-    assert got.origin == want.origin
-    assert got.compute_cost == want.compute_cost
-    assert len(got.coords) == len(want.coords)
-    for a, b in zip(got.coords, want.coords):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.counts, want.counts)
-    assert len(got.extras) == len(want.extras)
-    for a, b in zip(got.extras, want.extras):
-        assert np.array_equal(a, b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from repro import (
     generate_fact_table,
 )
 from repro.schema import apb_tiny_schema
+from repro.util.errors import ReproError
 from tests.helpers import direct_aggregate, expected_cells_in_chunk
 
 
@@ -166,6 +167,19 @@ class TestCachingBehaviour:
     def test_describe(self, manager):
         text = manager.describe()
         assert "vcmc" in text and "two_level" in text
+
+    def test_check_invariants_names_the_violation(self, manager, tiny_schema):
+        manager.query(Query.full_level(tiny_schema, (1, 1, 0)))
+        manager.check_invariants()
+
+        manager.cache.used_bytes += 1
+        with pytest.raises(ReproError, match="byte accounting"):
+            manager.check_invariants()
+        manager.cache.used_bytes -= 1
+
+        manager.strategy.counts.counts_array(tiny_schema.base_level)[0] += 1
+        with pytest.raises(ReproError, match="count maintenance"):
+            manager.check_invariants()
 
 
 @settings(max_examples=10, deadline=None)

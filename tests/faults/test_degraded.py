@@ -6,10 +6,6 @@ import pytest
 
 from repro import AggregateCache, Query
 from repro.faults import FailpointRegistry, TransientBackendError
-from repro.harness.service_bench import (
-    check_bytes_invariant,
-    check_counts_invariant,
-)
 from repro.obs import Observability
 from tests.helpers import direct_aggregate, expected_cells_in_chunk
 
@@ -61,8 +57,7 @@ def test_partial_coverage_answers_are_exact(
         )
         assert chunk.cell_dict() == pytest.approx(expected)
     assert manager.degraded_queries == 1
-    assert check_bytes_invariant(manager)
-    assert check_counts_invariant(manager)
+    manager.check_invariants()
 
 
 def test_recovery_after_outage_serves_the_gaps(tiny_schema, tiny_backend):
@@ -111,7 +106,7 @@ def test_aggregation_salvage_gives_full_coverage(
     for chunk in result.chunks:
         cells.update(chunk.cell_dict())
     assert cells == pytest.approx(truth)
-    assert check_counts_invariant(manager)
+    manager.check_invariants()
 
 
 def test_sequential_outage_leaves_no_flight_behind(
@@ -159,8 +154,7 @@ def test_sequential_outage_leaves_no_flight_behind(
         with pytest.raises(ValueError):
             manager.query(Query.full_level(tiny_schema, (1, 1, 0)))
     assert manager.flights.in_progress() == 0
-    assert check_bytes_invariant(manager)
-    assert check_counts_invariant(manager)
+    manager.check_invariants()
 
 
 def test_unknown_errors_propagate_even_in_degraded_mode(

@@ -20,20 +20,8 @@ from repro import (
 )
 from repro.backend.resilient import BreakerState
 from repro.obs import Observability
+from tests.helpers import COMPARED_FIELDS
 
-COMPARED_FIELDS = (
-    "complete_hit",
-    "direct_hits",
-    "aggregated",
-    "from_backend",
-    "tuples_aggregated",
-    "lookup_visits",
-    "state_updates",
-    "reinforcements_skipped",
-    "degraded",
-    "coverage",
-    "unanswered",
-)
 
 #: Timing histograms whose observed values are wall-clock; only their
 #: counts must agree between the two runs.

@@ -8,10 +8,6 @@ import pytest
 from repro import AggregateCache, Query
 from repro.cache.snapshot import load_cache_snapshot, save_cache_snapshot
 from repro.faults import CorruptChunkError, FailpointRegistry
-from repro.harness.service_bench import (
-    check_bytes_invariant,
-    check_counts_invariant,
-)
 from repro.obs import Observability
 
 
@@ -67,8 +63,7 @@ def test_injected_corruption_skips_only_that_chunk(
         (tuple(e["level"]), e["number"]) for e in corrupt_events
     ) == sorted(missing)
     # Count/cost state was rebuilt for exactly the surviving set.
-    assert check_bytes_invariant(fresh)
-    assert check_counts_invariant(fresh)
+    fresh.check_invariants()
 
 
 def test_surviving_chunks_answer_queries_exactly(
@@ -89,7 +84,7 @@ def test_surviving_chunks_answer_queries_exactly(
     lhs = fresh.query(query)
     rhs = reference.query(query)
     assert lhs.total_value() == pytest.approx(rhs.total_value())
-    assert check_counts_invariant(fresh)
+    fresh.check_invariants()
 
 
 def test_genuinely_corrupt_payload_is_rejected(
@@ -111,8 +106,7 @@ def test_genuinely_corrupt_payload_is_rejected(
     fresh = fresh_manager(tiny_schema, tiny_backend)
     restored = load_cache_snapshot(fresh, path)
     assert restored == saved - 1
-    assert check_bytes_invariant(fresh)
-    assert check_counts_invariant(fresh)
+    fresh.check_invariants()
 
 
 def test_fault_free_restore_is_unchanged(

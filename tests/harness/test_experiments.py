@@ -153,9 +153,9 @@ def test_cli_store_switch_is_cell_identical(capsys):
         assert "Figure 7" in out and "Table 3" in out
         # Strip the configuration echo (it names the store) and the
         # timing lines (wall-clock noise); the hit-ratio and state-byte
-        # cells must match exactly.  BENCH_storage.json separately holds
-        # every experiment to cell-identical *answers* — this checks the
-        # CLI plumbing end to end.
+        # cells must match exactly.  tests/backend/test_chunkstore.py
+        # (test_answers_do_not_depend_on_the_store) holds the *answers*
+        # to cell identity — this checks the CLI plumbing end to end.
         outputs[store] = [
             line
             for line in out.splitlines()

@@ -1,4 +1,5 @@
-"""Brute-force oracles the incremental algorithms are verified against."""
+"""Brute-force oracles the incremental algorithms are verified against,
+and the comparison helpers the identity tests share."""
 
 from __future__ import annotations
 
@@ -6,10 +7,45 @@ import math
 
 import numpy as np
 
+from repro.chunks.chunk import Chunk
 from repro.core.sizes import SizeEstimator
 from repro.schema.cube import CubeSchema, Level
 
 Key = tuple[Level, int]
+
+#: The QueryResult fields two serving stacks must agree on to count as
+#: equivalent (service vs manager, armoured vs plain, router vs service).
+COMPARED_FIELDS = (
+    "complete_hit",
+    "direct_hits",
+    "aggregated",
+    "from_backend",
+    "tuples_aggregated",
+    "lookup_visits",
+    "state_updates",
+    "reinforcements_skipped",
+    "degraded",
+    "coverage",
+    "unanswered",
+)
+
+
+def assert_chunks_identical(got: Chunk, want: Chunk) -> None:
+    """Field-for-field, bit-for-bit chunk equality (exact ``==`` on the
+    arrays, same cell order, same dtypes)."""
+    assert got.level == want.level
+    assert got.number == want.number
+    assert got.origin == want.origin
+    assert got.compute_cost == want.compute_cost
+    assert len(got.coords) == len(want.coords)
+    for a, b in zip(got.coords, want.coords):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.counts, want.counts)
+    assert len(got.extras) == len(want.extras)
+    for a, b in zip(got.extras, want.extras):
+        assert np.array_equal(a, b)
 
 
 def oracle_computable(

@@ -126,6 +126,17 @@ def test_stale_aggregates_never_served_evict_mode(world):
         initial.total() + delta.total()
     )
     assert manager.replans == 0
+    # What eviction costs: the replay goes back to the backend, where
+    # the identically warmed and patched twin answers from the cache.
+    twin = AggregateCache(
+        schema,
+        BackendDatabase(schema, initial),
+        capacity_bytes=1 << 20,
+        strategy="vcmc",
+    )
+    twin.query(query)
+    twin.refresh_from_backend(delta)
+    assert twin.query(query).from_backend == 0 < fresh.from_backend
 
 
 def test_unknown_refresh_mode_rejected(world):
@@ -182,6 +193,7 @@ def test_delta_refresh_preserves_all_residents():
     # And the patched chunks answer exactly like a rebuilt backend.
     for level in [schema.base_level, (1, 1, 0)]:
         result = manager.query(Query.full_level(schema, level))
+        assert result.from_backend == 0, "a patched replay needs no backend"
         truth = merged_truth(schema, [initial, delta], level)
         got: dict = {}
         for chunk in result.chunks:

@@ -16,6 +16,7 @@ from repro import (
     Query,
     QueryStreamGenerator,
 )
+from tests.helpers import COMPARED_FIELDS
 
 
 def make_manager(tiny_schema, tiny_facts, capacity_fraction=0.6, **kwargs):
@@ -30,18 +31,6 @@ def make_manager(tiny_schema, tiny_facts, capacity_fraction=0.6, **kwargs):
 def stream_for(tiny_schema, n=80, seed=901):
     generator = QueryStreamGenerator(tiny_schema, max_extent=3, seed=seed)
     return list(generator.generate(n))
-
-
-COMPARED_FIELDS = (
-    "complete_hit",
-    "direct_hits",
-    "aggregated",
-    "from_backend",
-    "tuples_aggregated",
-    "lookup_visits",
-    "state_updates",
-    "reinforcements_skipped",
-)
 
 
 def test_serve_with_one_worker_matches_sequential_manager(
@@ -196,10 +185,8 @@ def test_manager_numbers_matches_query_subset(tiny_schema, tiny_facts):
     """``manager.query(numbers=...)`` is the shard-local slice the
     service's ``query_subset`` serves, field for field; the full plan is
     the plain query."""
-    fields = COMPARED_FIELDS + ("coverage", "unanswered", "degraded")
-
     def same(a, b):
-        for field in fields:
+        for field in COMPARED_FIELDS:
             assert getattr(a, field) == getattr(b, field), field
         assert [c.key for c in a.chunks] == [c.key for c in b.chunks]
         assert a.total_value() == pytest.approx(b.total_value())

@@ -15,10 +15,6 @@ from repro import (
     CostModel,
     QueryStreamGenerator,
 )
-from repro.harness.service_bench import (
-    check_bytes_invariant,
-    check_counts_invariant,
-)
 
 THREADS = 8
 NUM_QUERIES = 240
@@ -87,5 +83,4 @@ def test_bare_manager_serves_threads_exactly(tiny_schema, tiny_facts):
     assert manager.queries_run == NUM_QUERIES
     assert manager.complete_hits == sum(r.complete_hit for r in results)
     assert manager.flights.in_progress() == 0
-    assert check_bytes_invariant(manager)
-    assert check_counts_invariant(manager)
+    manager.check_invariants()

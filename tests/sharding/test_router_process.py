@@ -19,8 +19,8 @@ from repro import (
 )
 from repro.faults.errors import ShardDeadError
 from repro.faults.registry import FailpointRegistry
-from repro.harness.shards_bench import COMPARED_FIELDS
 from repro.sharding import ShardRouter
+from tests.helpers import COMPARED_FIELDS
 
 
 def _stream(tiny_schema, n=30, seed=1133):
@@ -46,7 +46,7 @@ def dict_backend(tiny_schema, tiny_facts):
 def test_one_shard_router_is_field_identical(
     tiny_schema, tiny_facts, dict_backend
 ):
-    """The ``--shards 1`` contract, over a real pipe."""
+    """The one-shard contract, over a real pipe."""
     capacity = max(int(dict_backend.base_size_bytes * 0.6), 1)
     baseline = ConcurrentAggregateCache(
         AggregateCache(tiny_schema, dict_backend, capacity)
