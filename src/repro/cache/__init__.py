@@ -9,27 +9,15 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.store import CacheEntry, ChunkCache, InsertOutcome
-from repro.cache.values import (
-    CacheValueBackend,
-    DiskSpillValues,
-    InProcessValues,
-    SharedMemoryValues,
-    make_value_backend,
-)
 
 __all__ = [
     "BenefitClockPolicy",
     "CacheEntry",
-    "CacheValueBackend",
     "ChunkCache",
-    "DiskSpillValues",
-    "InProcessValues",
     "InsertOutcome",
     "POLICY_NAMES",
     "ReplacementPolicy",
-    "SharedMemoryValues",
     "TwoLevelPolicy",
     "choose_preload_level",
     "make_policy",
-    "make_value_backend",
 ]

@@ -21,7 +21,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.values import CacheValueBackend, InProcessValues
 from repro.chunks.chunk import Chunk
 from repro.faults.registry import failpoint
 from repro.obs import NULL_OBS, Observability
@@ -89,7 +88,6 @@ class ChunkCache:
         policy: ReplacementPolicy,
         bytes_per_tuple: int,
         obs: Observability | None = None,
-        values: CacheValueBackend | None = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise ReproError(f"capacity must be positive, got {capacity_bytes}")
@@ -100,10 +98,8 @@ class ChunkCache:
         self.stats = CacheStats()
         self.obs = obs or NULL_OBS
         self.policy.obs = self.obs
-        self.values = values if values is not None else InProcessValues()
         self._entries: dict[Key, CacheEntry] = {}
         self._lock = threading.RLock()
-        self._closed = False
 
     # ------------------------------------------------------------------ #
     # membership / reads
@@ -205,7 +201,6 @@ class ChunkCache:
                     return InsertOutcome(inserted=False)
 
             evicted = [self._remove_entry(victim) for victim in victims]
-            entry.chunk = self.values.put(key, chunk)
             self._entries[key] = entry
             self.used_bytes += size
             self.policy.on_insert(entry)
@@ -285,7 +280,6 @@ class ChunkCache:
                         outcomes.append(InsertOutcome(inserted=False))
                         continue
                 evicted = [self._remove_entry(victim) for victim in victims]
-                entry.chunk = self.values.put(key, chunk)
                 self._entries[key] = entry
                 self.used_bytes += size
                 pending.append(entry)
@@ -365,7 +359,7 @@ class ChunkCache:
                     )
                 new_size = chunk.size_bytes(self.bytes_per_tuple)
                 self.used_bytes += new_size - entry.size_bytes
-                entry.chunk = self.values.put((level, number), chunk)
+                entry.chunk = chunk
                 entry.size_bytes = new_size
                 # The overflow sweep asks the policy for victims on behalf
                 # of one patched entry; prefer a backend-class anchor
@@ -434,10 +428,6 @@ class ChunkCache:
         del self._entries[entry.key]
         self.used_bytes -= entry.size_bytes
         entry.resident = False
-        # The returned chunk stays readable: both shm and spill backends
-        # only unlink the payload's *name* here; the mapping survives
-        # under the entry's live array views.
-        self.values.discard(entry.key)
         self.policy.on_remove(entry)
         self.stats.evictions += 1
         if self.obs.enabled:
@@ -452,12 +442,9 @@ class ChunkCache:
         return entry.chunk
 
     def close(self) -> None:
-        """Release the value backend's payloads.  Idempotent; the entry
-        map itself is left intact (already-held chunk views stay valid)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.values.close()
+        """A no-op, idempotent: payloads live on the Python heap, so
+        there is nothing to release.  Kept because the benchmark's stack
+        teardown calls it by name."""
 
     def __enter__(self) -> "ChunkCache":
         return self

@@ -34,7 +34,6 @@ from repro.cache.preload import choose_preload_level
 from repro.cache.replacement import make_policy
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.store import ChunkCache
-from repro.cache.values import CacheValueBackend, make_value_backend
 from repro.chunks.chunk import Chunk, ChunkOrigin
 from repro.core.counts import CountStore
 from repro.core.plans import PlanCache, PlanNode
@@ -134,67 +133,6 @@ class QueryResult:
         return self.breakdown.total_ms
 
 
-@dataclass(frozen=True)
-class QueryLogRecord:
-    """One row of the manager's query log (``keep_log=True``)."""
-
-    sequence: int
-    level: Level
-    num_chunks: int
-    complete_hit: bool
-    direct_hits: int
-    aggregated: int
-    from_backend: int
-    lookup_ms: float
-    aggregate_ms: float
-    update_ms: float
-    backend_ms: float
-    tuples_aggregated: int
-    cache_used_bytes: int
-    coverage: float = 1.0
-    estimated: int = 0
-
-    @classmethod
-    def from_result(
-        cls, manager: "AggregateCache", result: "QueryResult"
-    ) -> "QueryLogRecord":
-        b = result.breakdown
-        return cls(
-            sequence=manager.queries_run,
-            level=result.query.level,
-            num_chunks=result.query.num_chunks,
-            complete_hit=result.complete_hit,
-            direct_hits=result.direct_hits,
-            aggregated=result.aggregated,
-            from_backend=result.from_backend,
-            lookup_ms=b.lookup_ms,
-            aggregate_ms=b.aggregate_ms,
-            update_ms=b.update_ms,
-            backend_ms=b.backend_ms,
-            tuples_aggregated=result.tuples_aggregated,
-            cache_used_bytes=manager.cache.used_bytes,
-            coverage=result.coverage,
-            estimated=len(result.estimated),
-        )
-
-
-def write_query_log_csv(records: list[QueryLogRecord], path) -> int:
-    """Write a manager's query log as CSV; returns the row count."""
-    import csv
-    from dataclasses import asdict, fields
-    from pathlib import Path
-
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f.name for f in fields(QueryLogRecord)])
-        for record in records:
-            row = asdict(record)
-            row["level"] = ",".join(map(str, record.level))
-            writer.writerow(row.values())
-    return len(records)
-
-
 @dataclass
 class _PlanExecution:
     """What :meth:`AggregateCache._execute_plan` produced for one plan."""
@@ -229,16 +167,11 @@ class RefreshOutcome:
 
     affected: tuple[int, ...]
     """Base chunk numbers the append changed."""
-    mode: str
-    """``delta`` (in-place patch wave), ``refetch`` (in-place backend
-    refetch of affected residents) or ``evict`` (legacy invalidation)."""
     patched: int = 0
     """Resident chunks patched in place by the delta roll-up wave."""
-    refetched: int = 0
-    """Resident chunks refreshed in place from the backend."""
     evicted: int = 0
-    """Chunks evicted — every overlapping resident in ``evict`` mode,
-    only capacity-overflow victims in the in-place modes."""
+    """Capacity-overflow victims of the patch wave (patches grow
+    chunks)."""
     generation: int = 0
     """The backend's refresh generation after the append."""
     tuples_added: int = 0
@@ -322,14 +255,6 @@ class AggregateCache:
     approx_seed:
         Seed of the reservoir when ``approx`` asks this manager to
         build one (ignored for a ready answerer).
-    cache_values:
-        Where cached chunk payloads live (see :mod:`repro.cache.values`):
-        ``None``/``"dict"`` keeps them on the Python heap (the default,
-        unchanged behaviour), ``"shm"`` stores them in shared-memory
-        segments and ``"spill"`` in per-chunk disk files the OS can page
-        out.  A ready :class:`~repro.cache.values.CacheValueBackend`
-        instance is accepted too.  Answers are identical across
-        backends; only the payloads' residence changes.
     obs:
         An :class:`~repro.obs.Observability` handle, shared with the
         chunk store, the replacement policy and the lookup strategy.
@@ -349,12 +274,10 @@ class AggregateCache:
         sizes: SizeEstimator | None = None,
         cost_rel_tol: float = 0.02,
         use_cost_optimizer: bool = False,
-        keep_log: bool = False,
         plan_cache: bool | PlanCache = True,
         degraded_mode: bool = False,
         approx: "bool | float | ApproxAnswerer | None" = None,
         approx_seed: int = 7,
-        cache_values: "str | CacheValueBackend | None" = None,
         obs: Observability | None = None,
     ) -> None:
         self.schema = schema
@@ -365,11 +288,7 @@ class AggregateCache:
         if isinstance(policy, str):
             policy = make_policy(policy)
         self.cache = ChunkCache(
-            capacity_bytes,
-            policy,
-            schema.bytes_per_tuple,
-            obs=self.obs,
-            values=make_value_backend(cache_values),
+            capacity_bytes, policy, schema.bytes_per_tuple, obs=self.obs
         )
         if isinstance(strategy, str):
             strategy = make_strategy(
@@ -401,9 +320,6 @@ class AggregateCache:
         )
         self.approx_queries = 0
         """Queries that returned at least one sample estimate."""
-        self.keep_log = keep_log
-        self.query_log: list[QueryLogRecord] = []
-        """Structured per-query records when ``keep_log`` is set."""
         self.queries_run = 0
         self.complete_hits = 0
         self._rw = ReadWriteLock()
@@ -638,10 +554,6 @@ class AggregateCache:
                 )
                 if obs.enabled:
                     self._emit_query_event(result)
-                if self.keep_log:
-                    self.query_log.append(
-                        QueryLogRecord.from_result(self, result)
-                    )
         except BaseException as exc:
             if led_keys:
                 self.flights.abandon(led_keys, exc)
@@ -880,57 +792,44 @@ class AggregateCache:
 
     def invalidate_base_chunks(self, numbers: list[int]) -> int:
         """Evict every cached chunk whose data overlaps the given base
-        chunks (warehouse refresh).  Count/cost state is maintained
-        through the ordinary eviction path, so Property 1 keeps holding.
-        Returns the number of chunks evicted."""
-        affected = set(numbers)
-        base = self.schema.base_level
-        victims: list[Key] = []
-        for level, number in list(self.cache.resident_keys()):
-            covering = self.schema.get_parent_chunk_numbers(
-                level, number, base
-            )
-            if any(int(n) in affected for n in covering):
-                victims.append((level, number))
+        chunks — forced eviction, pins included.  Count/cost state is
+        maintained through the ordinary eviction path, so Property 1
+        keeps holding.  Returns the number of chunks evicted."""
+        victims: list[Key] = [
+            (level, number)
+            for level, targets in self._overlapping_residents(
+                set(numbers)
+            ).items()
+            for number, _ in targets
+        ]
         if victims:
             self.cache.evict_many(victims)
             self.strategy.on_evict_many(victims)
         return len(victims)
 
     def refresh_from_backend(self, facts, mode: str = "delta") -> RefreshOutcome:
-        """Load new facts into the backend and reconcile the cache in one
+        """Load new facts into the backend and patch the cache in one
         step.
 
-        ``mode="delta"`` (the default) runs the incremental patch wave:
-        the appended batch is clustered into base-chunk deltas and rolled
-        up the lattice — every resident chunk whose data overlaps an
+        The appended batch is clustered into base-chunk deltas and rolled
+        up the lattice: every resident chunk whose data overlaps an
         affected base chunk is patched *in place* by merging its delta
         roll-up into the cached payload, preserving residency (and pins,
         CLOCK positions, benefits).  This is exact for the additive
         aggregates the cube stores (SUM in ``values``/``extras``, COUNT
         in ``counts``; AVG derives from them) — see ``docs/updates.md``
-        for the exactness argument.
+        for the exactness argument.  Only capacity-overflow victims are
+        evicted, through the ordinary eviction cascades, so Count/Cost
+        state stays exact.  The size estimator is recalibrated
+        incrementally from the batch and the cost store's size-derived
+        surface is rebuilt, so cost/benefit decisions track the grown
+        warehouse.
 
-        ``mode="refetch"`` patches the same resident set by refetching
-        the affected chunks from the backend instead of merging deltas —
-        the fallback for non-additive aggregates (MIN/MAX), exact for
-        *any* aggregate at the price of backend scans over only the
-        affected chunks.
-
-        ``mode="evict"`` is the legacy read-only-era behaviour: evict
-        every overlapping resident chunk and let queries refetch.
-
-        All modes keep Count/Cost state exact: the in-place modes leave
-        residency untouched except for capacity-overflow victims, which
-        (like ``evict``'s wave) go through the ordinary eviction
-        cascades.  The size estimator is recalibrated incrementally from
-        the batch and the cost store's size-derived surface is rebuilt,
-        so cost/benefit decisions track the grown warehouse.
+        ``mode`` accepts only ``"delta"``; any other value raises.
         """
-        if mode not in ("delta", "refetch", "evict"):
+        if mode != "delta":
             raise ReproError(
-                f"unknown refresh mode {mode!r}; "
-                "choose 'delta', 'refetch' or 'evict'"
+                f"unknown refresh mode {mode!r}; only 'delta' is supported"
             )
         append = self.backend.apply_append(facts)
         if self.approx is not None:
@@ -938,22 +837,14 @@ class AggregateCache:
             # keep tracking the grown warehouse (HT over the extended
             # record stream — see docs/approx.md).
             self.approx.observe_append(facts)
-        patched = refetched = evicted = 0
-        if mode == "delta":
-            patched, evicted = self._patch_wave(append.deltas)
-        elif mode == "refetch":
-            refetched, evicted = self._refetch_affected(append.affected)
-        else:
-            evicted = self.invalidate_base_chunks(append.affected)
+        patched, evicted = self._patch_wave(append.deltas)
         self.sizes.observe_append(facts, self.backend.num_tuples)
         costs = getattr(self.strategy, "costs", None)
         if costs is not None:
             costs.recalibrate(self.cache.resident_keys())
         outcome = RefreshOutcome(
             affected=tuple(append.affected),
-            mode=mode,
             patched=patched,
-            refetched=refetched,
             evicted=evicted,
             generation=append.generation,
             tuples_added=append.tuples_added,
@@ -961,14 +852,11 @@ class AggregateCache:
         if self.obs.enabled:
             self.obs.metrics.counter("refresh.count").inc()
             self.obs.metrics.counter("refresh.patched").inc(patched)
-            self.obs.metrics.counter("refresh.refetched").inc(refetched)
             self.obs.metrics.counter("refresh.evicted").inc(evicted)
             self.obs.tracer.emit(
                 "refresh",
-                mode=mode,
                 affected=len(append.affected),
                 patched=patched,
-                refetched=refetched,
                 evicted=evicted,
                 generation=append.generation,
             )
@@ -1050,36 +938,6 @@ class AggregateCache:
             self.plan_cache.bump([key for key, _ in replacements])
         return len(replacements), len(evicted_chunks)
 
-    def _refetch_affected(self, affected: list[int]) -> tuple[int, int]:
-        """The non-additive fallback: replace every overlapping resident
-        chunk's payload with a fresh backend computation, in one batched
-        fetch.  Exact for any aggregate function; residency and pins are
-        preserved exactly as in the delta wave.  Returns
-        ``(refetched, evicted)``."""
-        by_level = self._overlapping_residents(set(affected))
-        keys: list[Key] = [
-            (level, number)
-            for level, targets in by_level.items()
-            for number, _ in targets
-        ]
-        if not keys:
-            return 0, 0
-        fetched, _stats = self.backend.fetch(keys)
-        replacements: list[tuple[Key, Chunk]] = []
-        for key, chunk in zip(keys, fetched):
-            old = self.cache.peek(*key)
-            chunk.origin = old.origin
-            chunk.compute_cost = old.compute_cost
-            replacements.append((key, chunk))
-        evicted_chunks = self.cache.replace_many(replacements)
-        if evicted_chunks:
-            self.strategy.on_evict_many(
-                [chunk.key for chunk in evicted_chunks]
-            )
-        if self.plan_cache is not None:
-            self.plan_cache.bump(keys)
-        return len(keys), len(evicted_chunks)
-
     def range_query(
         self,
         level: Level,
@@ -1095,12 +953,12 @@ class AggregateCache:
 
         The sliced chunks go into a *copy* of the inner ``query()``
         result: by the time slicing happens, that result has already been
-        appended to the query log and described by the obs ``query``
-        event, and both deliberately describe the covering-chunk fetch
-        (``num_chunks``, ``tuples_aggregated`` and the cache accounting
-        all concern the chunk-aligned work the cache actually did, not
-        the residual cell filter).  Mutating the logged object in place
-        would silently de-sync it from those records.
+        described by the obs ``query`` event, which deliberately
+        describes the covering-chunk fetch (``chunks``,
+        ``tuples_aggregated`` and the cache accounting all concern the
+        chunk-aligned work the cache actually did, not the residual cell
+        filter).  Mutating the result in place would silently de-sync it
+        from that record.
         """
         query = Query.from_cell_ranges(self.schema, level, cell_ranges)
         result = self.query(query)

@@ -245,11 +245,11 @@ class ConcurrentAggregateCache:
         """Warehouse refresh, exclusive against every in-flight query.
 
         The write lock quiesces all four query phases, so the append and
-        its patch wave (``mode="delta"`` — resident chunks patched in
-        place instead of evicted; see
-        :meth:`AggregateCache.refresh_from_backend`) never interleave
-        with a reader: a query observes the cache strictly before or
-        strictly after the whole refresh.  Returns the manager's
+        its patch wave (resident chunks patched in place; see
+        :meth:`AggregateCache.refresh_from_backend`, which also rejects
+        any ``mode`` but ``"delta"``) never interleave with a reader: a
+        query observes the cache strictly before or strictly after the
+        whole refresh.  Returns the manager's
         :class:`~repro.core.manager.RefreshOutcome`.
         """
         with self._rw.write_locked():

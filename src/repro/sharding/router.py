@@ -340,7 +340,6 @@ class LocalShard:
 
     def close(self, timeout_s: float = 5.0) -> None:
         self.alive = False
-        self.service.manager.cache.close()
 
 
 class ShardRouter:

@@ -5,10 +5,9 @@ pickle whatever they are given, and pickling numpy arrays goes through
 ``__reduce__`` machinery that copies and tags every array object —
 measurable overhead at thousands of chunks per second.  So nothing sent
 over the wire contains an ndarray: a chunk's columns are flattened to
-one raw ``bytes`` payload (the same little-endian column codec the
-cache's value backends use — :func:`repro.cache.values.write_payload`),
-and everything else is ints, floats, strings and tuples, which pickle as
-compact opcodes.
+one raw ``bytes`` payload (:func:`write_payload`: raw little-endian
+int64/float64 columns behind a four-int header), and everything else
+is ints, floats, strings and tuples, which pickle as compact opcodes.
 
 A shard's answer to its slice of a query is a :class:`ShardPartial`:
 the slice's chunks plus exactly the accounting fields of
@@ -19,13 +18,83 @@ identity gate) and merge several partials additively.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.approx.contract import QueryContract, encode_contract
 from repro.approx.estimator import CellEstimate
-from repro.cache.values import payload_nbytes, read_payload, write_payload
-from repro.chunks.chunk import Chunk
+from repro.chunks.chunk import Chunk, ChunkOrigin
 from repro.schema.cube import Level
+
+#: Column payload header: rows, ndims, num_extras, origin code.
+_HEADER = struct.Struct("<qqqq")
+
+_ORIGIN_CODES = {origin: i for i, origin in enumerate(ChunkOrigin)}
+_ORIGIN_BY_CODE = {i: origin for origin, i in _ORIGIN_CODES.items()}
+
+
+def payload_nbytes(chunk: Chunk) -> int:
+    ncols = len(chunk.coords) + 2 + len(chunk.extras)
+    return _HEADER.size + ncols * chunk.size_tuples * 8
+
+
+def write_payload(chunk: Chunk, buffer: memoryview) -> None:
+    """Serialise ``chunk``'s columns into ``buffer`` (raw 8-byte columns
+    in coords/values/counts/extras order, little-endian)."""
+    n = chunk.size_tuples
+    _HEADER.pack_into(
+        buffer,
+        0,
+        n,
+        len(chunk.coords),
+        len(chunk.extras),
+        _ORIGIN_CODES[chunk.origin],
+    )
+    offset = _HEADER.size
+    for column, dtype in _iter_columns(chunk):
+        out = np.frombuffer(buffer, dtype=dtype, count=n, offset=offset)
+        out[:] = column
+        offset += n * 8
+
+
+def read_payload(
+    level: tuple[int, ...],
+    number: int,
+    compute_cost: float,
+    buffer,
+) -> Chunk:
+    """Rebuild a chunk whose arrays are views over ``buffer``."""
+    n, ndims, num_extras, origin_code = _HEADER.unpack_from(buffer, 0)
+    offset = _HEADER.size
+
+    def col(dtype) -> np.ndarray:
+        nonlocal offset
+        out = np.frombuffer(buffer, dtype=dtype, count=n, offset=offset)
+        offset += n * 8
+        return out
+
+    return Chunk(
+        level=level,
+        number=number,
+        coords=tuple(col(np.int64) for _ in range(ndims)),
+        values=col(np.float64),
+        counts=col(np.int64),
+        origin=_ORIGIN_BY_CODE[int(origin_code)],
+        compute_cost=compute_cost,
+        extras=tuple(col(np.float64) for _ in range(num_extras)),
+    )
+
+
+def _iter_columns(chunk: Chunk):
+    for axis in chunk.coords:
+        yield axis, np.int64
+    yield chunk.values, np.float64
+    yield chunk.counts, np.int64
+    for extra in chunk.extras:
+        yield extra, np.float64
+
 
 #: (level, number, compute_cost, payload bytes)
 WireChunk = tuple[tuple[int, ...], int, float, bytes]

@@ -21,7 +21,7 @@ still applies, so a future multi-pipe worker would need no changes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.adaptive.precompute import AdaptivePrecomputer
 from repro.aggregation.aggregate import set_default_validation
@@ -74,13 +74,9 @@ class WorkerSpec:
     fleet and to a single-process manager (the sharded-parity
     guarantee)."""
     approx_seed: int = 7
-    cache_values: str = "dict"
     resilient: bool = False
-    resilient_seed: int | None = None
     adaptive: bool = False
-    adaptive_budget_fraction: float = 0.5
     validate_aggregation: bool = True
-    extra_manager_kwargs: dict = field(default_factory=dict)
 
 
 def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
@@ -94,11 +90,7 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         backend = spec.backend
     else:
         raise ValueError("WorkerSpec needs a store_path or a backend")
-    fetch_backend = backend
-    if spec.resilient:
-        fetch_backend = ResilientBackend(
-            backend, seed=spec.resilient_seed
-        )
+    fetch_backend = ResilientBackend(backend) if spec.resilient else backend
     manager = AggregateCache(
         spec.schema,
         fetch_backend,
@@ -111,8 +103,6 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         degraded_mode=spec.degraded_mode,
         approx=spec.approx_fraction,
         approx_seed=spec.approx_seed,
-        cache_values=spec.cache_values,
-        **spec.extra_manager_kwargs,
     )
     if spec.preload:
         _preload_owned(manager, spec)
@@ -121,9 +111,7 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         # The precompute budget is naturally per-shard: the fraction
         # applies to this worker's own capacity (already the fleet total
         # divided by N), and its tracker sees only queries routed here.
-        adaptive = AdaptivePrecomputer(
-            manager, budget_fraction=spec.adaptive_budget_fraction
-        )
+        adaptive = AdaptivePrecomputer(manager)
     return ConcurrentAggregateCache(manager, adaptive=adaptive)
 
 
@@ -171,7 +159,6 @@ def shard_stats(service: ConcurrentAggregateCache) -> dict:
         "cache_chunks": len(manager.cache),
         "cache_used_bytes": manager.cache.used_bytes,
         "cache_capacity_bytes": manager.cache.capacity_bytes,
-        "value_backend": manager.cache.values.kind,
         "preloaded_level": manager.preloaded_level,
     }
 
@@ -245,6 +232,5 @@ def worker_main(conn, spec: WorkerSpec) -> None:
             else:
                 conn.send((seq, "ok", payload))
     finally:
-        service.manager.cache.close()
         backend.close()
         conn.close()

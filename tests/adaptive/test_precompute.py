@@ -257,9 +257,9 @@ def test_reconcile_pins_obs_counter():
 
 
 def test_concurrent_refresh_reconciles_pins():
-    # Through the service facade: a delta-mode refresh patches pinned
-    # chunks in place (pins survive), while an evict-mode invalidation
-    # reconciles the bookkeeping under the same write lock.
+    # Through the service facade: a refresh patches pinned chunks in
+    # place (pins survive), while a forced invalidation reconciles the
+    # bookkeeping under the same write lock.
     from repro import ConcurrentAggregateCache
 
     schema = apb_tiny_schema()
@@ -284,14 +284,15 @@ def test_concurrent_refresh_reconciles_pins():
 
     delta = generate_fact_table(schema, num_tuples=40, seed=9)
     outcome = service.refresh_from_backend(delta)
-    assert outcome.mode == "delta" and outcome.patched > 0
+    assert outcome.patched > 0
     assert adaptive._pinned[base] == pinned  # patched in place, pins intact
     for number in pinned:
         entry = manager.cache.entry(base, number)
         assert entry is not None and entry.resident and entry.pinned
 
     more = generate_fact_table(schema, num_tuples=40, seed=10)
-    service.refresh_from_backend(more, mode="evict")
+    outcome = service.refresh_from_backend(more)
+    assert service.invalidate_base_chunks(list(outcome.affected)) > 0
     assert base not in adaptive.pinned_levels or all(
         (entry := manager.cache.entry(base, n)) is not None and entry.resident
         for n in adaptive._pinned.get(base, [])

@@ -16,7 +16,6 @@ from repro.approx.contract import (
     encode_contract,
     resolve_contract,
 )
-from repro.core.manager import QueryLogRecord
 
 
 def test_modes_and_defaults():
@@ -100,10 +99,6 @@ def test_exact_results_populate_coverage_fields(
     warm = cache.query(query)
     _assert_uniform_fields(warm, numbers)
     assert warm.complete_hit
-
-    record = QueryLogRecord.from_result(cache, warm)
-    assert record.coverage == 1.0
-    assert record.estimated == 0
 
 
 def test_concurrent_exact_results_populate_coverage_fields(

@@ -5,7 +5,7 @@
   insert-first order both lost those reinforcements silently and let the
   victim sweep pass over un-reinforced clock values.
 * ``range_query`` must not mutate the ``QueryResult`` that ``query()``
-  already logged and emitted — slicing happens on a copy.
+  already emitted as its ``query`` event — slicing happens on a copy.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro import (
     AggregateCache,
     BackendDatabase,
     CostModel,
+    Observability,
     Query,
 )
 from repro.core.manager import AggregateCache as ManagerClass
@@ -104,7 +105,8 @@ def test_reinforce_reports_skipped_for_evicted_leaves(
 
 
 def test_range_query_does_not_mutate_logged_result(tiny_schema, tiny_facts):
-    manager = make_manager(tiny_schema, tiny_facts, keep_log=True)
+    obs = Observability.in_memory()
+    manager = make_manager(tiny_schema, tiny_facts, obs=obs)
     level = tiny_schema.base_level
 
     inner_results = []
@@ -138,11 +140,11 @@ def test_range_query_does_not_mutate_logged_result(tiny_schema, tiny_facts):
         "slicing must have restricted the cells for this regression to "
         "be meaningful"
     )
-    # The audit trail (query log) describes the covering fetch, which
-    # matches the inner result — not the sliced copy.
-    record = manager.query_log[-1]
-    assert record.num_chunks == inner.query.num_chunks
-    assert record.tuples_aggregated == inner.tuples_aggregated
+    # The audit trail (the query event) describes the covering fetch,
+    # which matches the inner result — not the sliced copy.
+    record = obs.ring_events("query")[-1]
+    assert record["chunks"] == inner.query.num_chunks
+    assert record["tuples_aggregated"] == inner.tuples_aggregated
     assert manager.replans == 0
 
 

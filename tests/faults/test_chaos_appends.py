@@ -2,8 +2,8 @@
 
 Each run drives a seeded query stream through
 :class:`ConcurrentAggregateCache` in segments, firing a warehouse append
-(:meth:`ConcurrentAggregateCache.refresh_from_backend`, delta patch wave
-by default) between segments.  The properties:
+(:meth:`ConcurrentAggregateCache.refresh_from_backend`, the delta patch
+wave) between segments.  The properties:
 
 * **exact answers against the post-append fact file** — every chunk of
   every segment equals a brute-force aggregation of the fact table as it
@@ -78,9 +78,7 @@ def build_service(schema, facts, store: str = "dict"):
     return ConcurrentAggregateCache(manager, flight_timeout_s=15.0)
 
 
-def run_append_chaos(
-    schema, facts, seed: int, mode: str, store: str = "dict"
-):
+def run_append_chaos(schema, facts, seed: int, store: str = "dict"):
     """Serve segments of a seeded stream with an append between each.
 
     Returns ``(service, parts, segments)`` where ``segments`` holds, per
@@ -105,8 +103,7 @@ def run_append_chaos(
         segments.append((segment, results, len(parts)))
         if wave_index < NUM_WAVES:
             wave = make_wave(schema, rng)
-            outcome = service.refresh_from_backend(wave, mode=mode)
-            assert outcome.mode == mode
+            service.refresh_from_backend(wave)
             parts.append(wave)
     return service, parts, segments
 
@@ -177,7 +174,7 @@ def check_append_run(schema, service, parts, segments) -> None:
 def test_append_chaos_seed_matrix(tiny_schema, tiny_facts, seed):
     try:
         service, parts, segments = run_append_chaos(
-            tiny_schema, tiny_facts, seed, mode="delta"
+            tiny_schema, tiny_facts, seed
         )
         check_append_run(tiny_schema, service, parts, segments)
     except Exception:
@@ -191,7 +188,7 @@ def test_append_chaos_seed_matrix_mmap_store(tiny_schema, tiny_facts, seed):
     # generation; answers stay exact against the merged fact file.
     try:
         service, parts, segments = run_append_chaos(
-            tiny_schema, tiny_facts, seed, mode="delta", store="mmap"
+            tiny_schema, tiny_facts, seed, store="mmap"
         )
         check_append_run(tiny_schema, service, parts, segments)
     except Exception:
@@ -199,32 +196,16 @@ def test_append_chaos_seed_matrix_mmap_store(tiny_schema, tiny_facts, seed):
         raise
 
 
-@pytest.mark.parametrize("mode", ["refetch", "evict"])
-def test_append_chaos_other_modes(tiny_schema, tiny_facts, mode):
-    seed = CHAOS_SEED_MATRIX[0]
-    try:
-        service, parts, segments = run_append_chaos(
-            tiny_schema, tiny_facts, seed, mode=mode
-        )
-        check_append_run(tiny_schema, service, parts, segments)
-    except Exception:
-        record_failing_seed(seed)
-        raise
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    mode=st.sampled_from(["delta", "refetch", "evict"]),
-)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(
     max_examples=5,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_random_append_schedules(tiny_schema, tiny_facts, seed, mode):
+def test_random_append_schedules(tiny_schema, tiny_facts, seed):
     try:
         service, parts, segments = run_append_chaos(
-            tiny_schema, tiny_facts, seed, mode=mode
+            tiny_schema, tiny_facts, seed
         )
         check_append_run(tiny_schema, service, parts, segments)
     except Exception:
@@ -264,7 +245,7 @@ def test_append_races_with_serving(tiny_schema, tiny_facts, seed, store):
         thread = threading.Thread(target=serve)
         thread.start()
         for wave in waves:
-            service.refresh_from_backend(wave, mode="delta")
+            service.refresh_from_backend(wave)
             parts.append(wave)
         thread.join(timeout=120)
         assert not thread.is_alive(), "serving deadlocked against appends"

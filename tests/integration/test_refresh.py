@@ -1,4 +1,4 @@
-"""Warehouse refresh tests: append facts, invalidate, stay correct.
+"""Warehouse refresh tests: append facts, patch or evict, stay correct.
 
 The cardinal sin would be serving a stale aggregate after new facts
 arrive; these tests hammer exactly that path.
@@ -100,7 +100,6 @@ def test_stale_aggregates_never_served(world):
     assert stale.total_value() == pytest.approx(initial.total())
 
     outcome = manager.refresh_from_backend(delta)
-    assert outcome.mode == "delta"
     assert outcome.patched > 0
     fresh = manager.query(query)
     assert fresh.total_value() == pytest.approx(
@@ -110,17 +109,16 @@ def test_stale_aggregates_never_served(world):
 
 
 def test_stale_aggregates_never_served_evict_mode(world):
-    """The legacy mode still works: overlapping residents are evicted and
-    the next query refetches fresh data."""
+    """Forced eviction of the affected residents after a refresh
+    (``invalidate_base_chunks``): the next query refetches fresh data."""
     schema, initial, delta, backend = world
     manager = AggregateCache(
         schema, backend, capacity_bytes=1 << 20, strategy="vcmc"
     )
     query = Query.full_level(schema, (1, 1, 0))
     manager.query(query)
-    outcome = manager.refresh_from_backend(delta, mode="evict")
-    assert outcome.evicted > 0
-    assert outcome.patched == 0
+    outcome = manager.refresh_from_backend(delta)
+    assert manager.invalidate_base_chunks(list(outcome.affected)) > 0
     fresh = manager.query(query)
     assert fresh.total_value() == pytest.approx(
         initial.total() + delta.total()
@@ -144,8 +142,12 @@ def test_unknown_refresh_mode_rejected(world):
     manager = AggregateCache(
         schema, backend, capacity_bytes=1 << 20, strategy="vcmc"
     )
-    with pytest.raises(ReproError, match="unknown refresh mode"):
-        manager.refresh_from_backend(delta, mode="nonsense")
+    generation = backend.refresh_generation
+    for mode in ("nonsense", "evict", "refetch"):
+        with pytest.raises(ReproError, match="unknown refresh mode"):
+            manager.refresh_from_backend(delta, mode=mode)
+    # Rejected before the append: the warehouse is untouched.
+    assert backend.refresh_generation == generation
 
 
 def test_unaffected_chunks_survive_refresh():
@@ -158,19 +160,33 @@ def test_unaffected_chunks_survive_refresh():
     manager.query(Query.full_level(schema, schema.base_level))
     # A delta touching exactly one base cell.
     delta = generate_fact_table(schema, num_tuples=1, seed=7)
-    resident_before = set(manager.cache.resident_keys())
-    outcome = manager.refresh_from_backend(delta, mode="evict")
-    affected = outcome.affected
+    outcome = manager.refresh_from_backend(delta)
+    affected = set(outcome.affected)
     assert len(affected) == 1
+    resident_before = set(manager.cache.resident_keys())
+
+    def overlaps(key) -> bool:
+        level, number = key
+        covering = schema.get_parent_chunk_numbers(
+            level, number, schema.base_level
+        )
+        return any(int(n) in affected for n in covering)
+
+    evicted = manager.invalidate_base_chunks(list(affected))
     survivors = set(manager.cache.resident_keys())
-    # Base chunks not covering the updated cell must still be cached.
+    victims = resident_before - survivors
+    assert survivors <= resident_before
+    assert evicted == len(victims) > 0
+    # Exactly the overlapping residents go; every other one stays.
+    assert all(overlaps(key) for key in victims)
+    assert not any(overlaps(key) for key in survivors)
+    # Base chunks not covering the updated cell are still cached.
     untouched_base = {
         (schema.base_level, n)
         for n in range(schema.num_chunks(schema.base_level))
         if n not in affected
     }
     assert untouched_base <= survivors
-    assert survivors < resident_before or outcome.evicted == 0
 
 
 def test_delta_refresh_preserves_all_residents():
@@ -200,33 +216,6 @@ def test_delta_refresh_preserves_all_residents():
             got.update(chunk.cell_dict())
         assert got == pytest.approx(truth), level
     assert manager.replans == 0
-
-
-def test_refetch_mode_matches_delta_answers():
-    """The non-additive fallback produces the same post-refresh answers
-    as the delta wave (both exact), while preserving residency."""
-    schema = apb_tiny_schema()
-    initial = generate_fact_table(schema, num_tuples=200, seed=1)
-    delta = generate_fact_table(schema, num_tuples=40, seed=7)
-    totals = {}
-    for mode in ("delta", "refetch"):
-        backend = BackendDatabase(schema, initial)
-        manager = AggregateCache(
-            schema, backend, capacity_bytes=1 << 20, strategy="vcmc"
-        )
-        manager.query(Query.full_level(schema, (1, 1, 0)))
-        before = set(manager.cache.resident_keys())
-        outcome = manager.refresh_from_backend(delta, mode=mode)
-        assert set(manager.cache.resident_keys()) == before
-        assert (outcome.patched if mode == "delta" else outcome.refetched) > 0
-        result = manager.query(Query.full_level(schema, (1, 1, 0)))
-        totals[mode] = {
-            cell: value
-            for chunk in result.chunks
-            for cell, value in chunk.cell_dict().items()
-        }
-        assert manager.replans == 0
-    assert totals["delta"] == totals["refetch"]
 
 
 def test_estimator_recalibrated_after_refresh(world):

@@ -13,6 +13,7 @@ from repro import (
     BackendDatabase,
     ConcurrentAggregateCache,
     CostModel,
+    Observability,
     Query,
     QueryStreamGenerator,
 )
@@ -37,11 +38,13 @@ def test_serve_with_one_worker_matches_sequential_manager(
     tiny_schema, tiny_facts
 ):
     stream = stream_for(tiny_schema)
-    sequential = make_manager(tiny_schema, tiny_facts, keep_log=True)
+    sequential_obs = Observability.in_memory(capacity=1 << 16)
+    sequential = make_manager(tiny_schema, tiny_facts, obs=sequential_obs)
     expected = [sequential.query(q) for q in stream]
 
+    service_obs = Observability.in_memory(capacity=1 << 16)
     service = ConcurrentAggregateCache(
-        make_manager(tiny_schema, tiny_facts, keep_log=True)
+        make_manager(tiny_schema, tiny_facts, obs=service_obs)
     )
     actual = service.serve(stream, workers=1)
 
@@ -61,12 +64,14 @@ def test_serve_with_one_worker_matches_sequential_manager(
     assert sorted(service.cache.resident_keys()) == sorted(
         sequential.cache.resident_keys()
     )
-    assert len(service.manager.query_log) == len(sequential.query_log)
-    for a_rec, b_rec in zip(sequential.query_log, service.manager.query_log):
-        assert a_rec.sequence == b_rec.sequence
-        assert a_rec.complete_hit == b_rec.complete_hit
-        assert a_rec.from_backend == b_rec.from_backend
-        assert a_rec.cache_used_bytes == b_rec.cache_used_bytes
+    sequential_events = sequential_obs.ring_events("query")
+    service_events = service_obs.ring_events("query")
+    assert len(sequential_events) == len(service_events) == len(stream)
+    for a_rec, b_rec in zip(sequential_events, service_events):
+        assert a_rec["query_seq"] == b_rec["query_seq"]
+        assert a_rec["complete_hit"] == b_rec["complete_hit"]
+        assert a_rec["from_backend"] == b_rec["from_backend"]
+        assert a_rec["cache_used_bytes"] == b_rec["cache_used_bytes"]
     # Nothing should have needed the concurrency machinery.
     assert service.replans == 0
     assert service.flights.joined == 0

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
-from repro import AggregateCache, BackendDatabase, CostModel
+import numpy as np
+import pytest
+
+from repro import (
+    AggregateCache,
+    BackendDatabase,
+    CostModel,
+    generate_fact_table,
+)
+from repro.chunks.chunk import ChunkOrigin
+from repro.schema import CubeSchema, Dimension
 from repro.sharding import (
     ShardPartial,
     decode_chunk,
@@ -12,6 +22,7 @@ from repro.sharding import (
     encode_chunk,
     encode_partial,
 )
+from repro.sharding.wire import payload_nbytes, read_payload, write_payload
 
 
 def _base_chunks(tiny_schema, tiny_facts):
@@ -19,18 +30,62 @@ def _base_chunks(tiny_schema, tiny_facts):
     return list(backend.compute_level(tiny_schema.base_level))
 
 
+def _multi_measure_chunks():
+    """Base chunks of a three-measure cube (two ``extras`` columns)."""
+    schema = CubeSchema(
+        [
+            Dimension.uniform("Product", [1, 2, 4], [1, 2, 4]),
+            Dimension.uniform("Customer", [1, 2], [1, 2]),
+            Dimension.uniform("Time", [1, 2], [1, 1]),
+        ],
+        measure=["UnitSales", "DollarSales", "Cost"],
+        bytes_per_tuple=28,
+    )
+    facts = generate_fact_table(schema, num_tuples=400, seed=77)
+    backend = BackendDatabase(schema, facts)
+    return list(backend.compute_level(schema.base_level))
+
+
+def _assert_same_chunk(back, chunk):
+    assert back.level == tuple(chunk.level)
+    assert back.number == chunk.number
+    assert back.compute_cost == chunk.compute_cost
+    assert back.origin is chunk.origin
+    np.testing.assert_array_equal(back.coords, chunk.coords)
+    np.testing.assert_array_equal(back.values, chunk.values)
+    np.testing.assert_array_equal(back.counts, chunk.counts)
+    assert len(back.extras) == len(chunk.extras)
+    for got, want in zip(back.extras, chunk.extras):
+        np.testing.assert_array_equal(got, want)
+    assert back.cell_dict() == chunk.cell_dict()
+
+
 def test_chunk_roundtrip_is_exact(tiny_schema, tiny_facts):
     for chunk in _base_chunks(tiny_schema, tiny_facts):
         wire = encode_chunk(chunk)
         assert isinstance(wire[3], bytes), "payload must be raw bytes"
-        back = decode_chunk(wire)
-        assert back.level == tuple(chunk.level)
-        assert back.number == chunk.number
-        assert back.compute_cost == chunk.compute_cost
-        np.testing.assert_array_equal(back.coords, chunk.coords)
-        np.testing.assert_array_equal(back.values, chunk.values)
-        np.testing.assert_array_equal(back.counts, chunk.counts)
-        assert back.cell_dict() == chunk.cell_dict()
+        _assert_same_chunk(decode_chunk(wire), chunk)
+
+
+@pytest.mark.parametrize("origin", list(ChunkOrigin))
+def test_multi_measure_chunk_roundtrip_every_origin(origin):
+    chunks = _multi_measure_chunks()
+    assert chunks and all(len(c.extras) == 2 for c in chunks)
+    for chunk in chunks:
+        chunk = replace(chunk, origin=origin, compute_cost=1.25)
+        _assert_same_chunk(decode_chunk(encode_chunk(chunk)), chunk)
+
+
+def test_buffer_codec_roundtrip(tiny_schema, tiny_facts):
+    chunk = _base_chunks(tiny_schema, tiny_facts)[0]
+    buffer = bytearray(payload_nbytes(chunk))
+    write_payload(chunk, memoryview(buffer))
+    back = read_payload(
+        chunk.level, chunk.number, chunk.compute_cost, memoryview(buffer)
+    )
+    assert back.cell_dict() == chunk.cell_dict()
+    assert back.origin == chunk.origin
+    assert back.compute_cost == chunk.compute_cost
 
 
 def test_wire_chunk_contains_no_ndarrays(tiny_schema, tiny_facts):
