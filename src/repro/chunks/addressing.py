@@ -42,6 +42,7 @@ class ChunkAddressing:
             tuple[Level, Level], tuple[tuple[tuple[int, int], ...], ...]
         ] = {}
         self._child_map_cache: dict[tuple[Level, int, Level], int] = {}
+        self._edge_parents_cache: dict[tuple[Level, int, Level], np.ndarray] = {}
 
     @property
     def ndims(self) -> int:
@@ -165,12 +166,20 @@ class ChunkAddressing:
         """Chunk numbers at ``parent_level`` that aggregate to this chunk.
 
         ``parent_level`` must be at least as detailed as ``level`` in every
-        dimension (it is usually an immediate lattice parent).  The spans
-        come from the bounded coordinate-pattern cache
-        (:meth:`child_chunk_spans`); only the final outer sum runs per
-        call, so repeated lookups no longer grow an unbounded
-        per-chunk-number result dict.
+        dimension.  When it is an immediate lattice parent (component sums
+        one apart) the result is memoised and returned as a shared
+        read-only array: the lookup strategies and the count/cost
+        maintenance ask for the same lattice edges over and over, and
+        their number is bounded by the chunk count times the dimensions.
+        Farther ancestors are built per call from the bounded span table
+        (:meth:`child_chunk_spans`), so their results never accumulate.
         """
+        edge = sum(parent_level) - sum(level) == 1
+        if edge:
+            key = (level, number, parent_level)
+            cached = self._edge_parents_cache.get(key)
+            if cached is not None:
+                return cached
         spans = self.child_chunk_spans(level, parent_level)
         coords = self.chunk_coords(level, number)
         numbers = np.zeros(1, dtype=np.int64)
@@ -180,6 +189,9 @@ class ChunkAddressing:
             first, last = per_coord[coord]
             span = np.arange(first, last, dtype=np.int64) * stride
             numbers = (numbers[:, None] + span[None, :]).ravel()
+        if edge:
+            numbers.flags.writeable = False
+            self._edge_parents_cache[key] = numbers
         return numbers
 
     def get_child_chunk_number(

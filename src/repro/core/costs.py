@@ -6,24 +6,34 @@ For every chunk, VCMC maintains:
   the chunk is directly cached, +inf when not computable).  Cost is the
   paper's linear metric: the number of tuples aggregated along the path,
   summed recursively, using the deterministic size estimator.
-* ``BestParent`` — which lattice parent the least-cost path goes through.
+* ``BestParent`` — which lattice parent the least-cost path goes through:
+  the *first* least-cost parent in ``schema.parents_of(level)`` order.
 
-Updates propagate towards more aggregated levels whenever a chunk's least
-cost *changes* — this covers both of the paper's trigger cases (newly
-computable, and cheaper/costlier path) and additionally eviction-induced
-increases, which the paper handles in its (omitted) delete algorithm.
-The lattice is a DAG in the propagation direction, so updates terminate.
+Both are a pure function of the resident set, so maintenance is exact:
+after any sequence of waves the arrays are bit-identical to a store
+rebuilt from the resident set in one wave.
 
-Propagation is change-directed: when a chunk's cost improves, each child
-only needs the single new path compared against its current cost; a full
-re-minimisation over all of a child's parents happens only when the
-child's *current best* path got worse.  This keeps the per-event work
-near the paper's Lemma 2 bound instead of rescanning whole neighbourhoods.
+A wave (:meth:`CostStore.on_insert_many` / :meth:`CostStore.on_evict_many`)
+writes its direct effects first — an inserted chunk gets cost 0 and
+``BEST_CACHED``, an evicted chunk becomes dirty — then walks the levels
+most detailed first and settles each dirty chunk **at most once**, with
+every parent level already final.  A dirty chunk carries the set of its
+parent indices whose chunks changed:
+
+* in an insert wave costs can only fall, so the new cost is the minimum
+  of the old one and the paths through the changed parents;
+* in an evict wave costs can only rise, so a chunk whose ``BestParent``
+  did not change keeps its state, and only one whose best path did is
+  re-minimised over all its parents.
+
+A chunk marks its children dirty only when its cost really changed
+(exact ``!=``).  This covers both of the paper's trigger cases (newly
+computable, and cheaper/costlier path) plus eviction-induced increases,
+which the paper handles in its (omitted) delete algorithm.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections.abc import Sequence
 
@@ -37,63 +47,51 @@ from repro.util.errors import ReproError
 BEST_NONE = -1     # not computable
 BEST_CACHED = -2   # directly present in the cache
 
-_TOL = 1e-9
+_Option = tuple[tuple[int, ...], float]
 
 
 class CostStore:
-    """``Cost`` / ``BestParent`` arrays plus their maintenance algorithms.
+    """``Cost`` / ``BestParent`` arrays plus their maintenance wave."""
 
-    ``rel_tol`` bounds propagation: a finite-to-finite cost change smaller
-    than ``rel_tol`` (relative) is recorded locally but not pushed to
-    descendants, trading a bounded relative staleness of the maintained
-    costs for far fewer cascade steps under churn.  Computability changes
-    (inf boundaries) always propagate exactly, so Property-1-style
-    correctness is never affected.  The default 0.0 is exact.
-    """
-
-    batch_crossover: int = 32
-    """Waves smaller than this run the scalar change-directed cascades
-    inline under one lock hold instead of the dirty-frontier machinery
-    (see :attr:`CountStore.batch_crossover`); set to 0 to force the
-    vectorised path."""
-
-    def __init__(
-        self,
-        schema: CubeSchema,
-        sizes: SizeEstimator,
-        rel_tol: float = 0.0,
-    ) -> None:
+    def __init__(self, schema: CubeSchema, sizes: SizeEstimator) -> None:
         self.schema = schema
         self.sizes = sizes
-        self.rel_tol = float(rel_tol)
+        self._keys: list[tuple[Level, int]] = []
+        """Every chunk in one flat index: level blocks, chunk numbers
+        within.  The wave works on flat indices; the per-level arrays
+        below are views of the flat ones."""
+        self._offset: dict[Level, int] = {}
+        for level in schema.all_levels():
+            self._offset[level] = len(self._keys)
+            self._keys.extend((level, n) for n in range(schema.num_chunks(level)))
+        total = len(self._keys)
+        self._flat_cost = np.full(total, np.inf, dtype=np.float64)
+        self._flat_best = np.full(total, BEST_NONE, dtype=np.int16)
+        self._flat_cached = np.zeros(total, dtype=bool)
         self._cost: dict[Level, np.ndarray] = {}
         self._best: dict[Level, np.ndarray] = {}
         self._cached: dict[Level, np.ndarray] = {}
-        for level in schema.all_levels():
-            n = schema.num_chunks(level)
-            self._cost[level] = np.full(n, np.inf, dtype=np.float64)
-            self._best[level] = np.full(n, BEST_NONE, dtype=np.int16)
-            self._cached[level] = np.zeros(n, dtype=bool)
+        for level, start in self._offset.items():
+            block = slice(start, start + schema.num_chunks(level))
+            self._cost[level] = self._flat_cost[block]
+            self._best[level] = self._flat_best[block]
+            self._cached[level] = self._flat_cached[block]
         self._parents: dict[Level, list[Level]] = {
             level: schema.parents_of(level) for level in schema.all_levels()
         }
-        self._parent_index: dict[Level, dict[Level, int]] = {
-            level: {parent: i for i, parent in enumerate(parents)}
-            for level, parents in self._parents.items()
-        }
-        self._pcs_lists: dict[tuple[Level, int, Level], list[int]] = {}
-        self._pcs_arrays: dict[tuple[Level, int, Level], np.ndarray] = {}
-        self._agg_cost: dict[tuple[Level, int, Level], float] = {}
-        self._children: dict[tuple[Level, int], list[tuple[Level, int, int]]] = {}
-        self._topo_levels: tuple[Level, ...] = tuple(
-            sorted(schema.all_levels(), key=lambda l: (-sum(l), l))
-        )
-        """Most detailed first — by the time a wave's dirty frontier
-        reaches a level, every parent level has already settled."""
+        self._options: dict[int, tuple[_Option, ...]] = {}
+        """Per chunk, one ``(parent chunk indices, aggregation cost)`` per
+        parent index — built from ``sizes``, so :meth:`recalibrate` drops
+        it."""
+        self._children: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._depth = sum(schema.base_level)
+        """Component sum of the base level.  A lattice edge lowers the sum
+        by one, so a wave walks sums from here down to the apex's 0: by
+        the time it reaches a chunk, every parent level has settled."""
         self.total_updates = 0
-        """Lifetime number of cost/best-parent modifications."""
+        """Lifetime number of chunks whose (cost, best parent) changed."""
         self._lock = threading.Lock()
-        """Serialises maintenance cascades (mirrors CountStore's lock)."""
+        """Serialises maintenance waves (mirrors CountStore's lock)."""
 
     # ------------------------------------------------------------------ #
     # queries
@@ -126,12 +124,20 @@ class CostStore:
     def num_entries(self) -> int:
         return sum(arr.size for arr in self._cost.values())
 
+    def cost_array(self, level: Level) -> np.ndarray:
+        """One level's ``Cost`` entries (diagnostics/tests)."""
+        return self._cost[level]
+
+    def best_array(self, level: Level) -> np.ndarray:
+        """One level's ``BestParent`` entries (diagnostics/tests)."""
+        return self._best[level]
+
     # ------------------------------------------------------------------ #
     # maintenance
 
     def on_insert(self, level: Level, number: int) -> int:
         """A chunk entered the cache: its cost drops to 0.  Returns the
-        number of cost/best modifications performed."""
+        number of chunks whose (cost, best parent) changed."""
         return self.on_insert_many([(level, number)])
 
     def on_evict(self, level: Level, number: int) -> int:
@@ -139,25 +145,22 @@ class CostStore:
         return self.on_evict_many([(level, number)])
 
     def on_insert_many(self, keys: Sequence[tuple[Level, int]]) -> int:
-        """A wave of chunks entered the cache.
-
-        Direct effects (cost 0, ``BEST_CACHED``) are written immediately;
-        the induced cost changes are carried level-by-level as a dirty
-        frontier towards the apex, each frontier chunk re-minimised once
-        with all its parent levels already settled, the ``_differs`` /
-        ``rel_tol`` propagation cutoffs applied vectorised per frontier.
-        Waves below ``batch_crossover`` keys run the scalar cascades
-        under the single lock hold instead (the small-wave crossover).
-        """
+        """A wave of chunks entered the cache.  Returns the number of
+        chunks whose (cost, best parent) changed."""
         with self._lock:
-            before = self.total_updates
-            if len(keys) < self.batch_crossover:
-                for level, number in keys:
-                    self._cached[level][number] = True
-                    self._apply(level, number, 0.0, BEST_CACHED)
-            else:
-                self._wave_update(keys, insert=True)
-            return self.total_updates - before
+            return self._settle(keys, insert=True)
+
+    def on_evict_many(self, keys: Sequence[tuple[Level, int]]) -> int:
+        """A wave of chunks left the cache (mirror of ``on_insert_many``).
+        Raises before changing anything if a key is not cached."""
+        with self._lock:
+            for level, number in keys:
+                if not self._cached[level][number]:
+                    raise ReproError(
+                        f"evicting chunk {number} of level {level} which the "
+                        "cost store does not believe is cached"
+                    )
+            return self._settle(keys, insert=False)
 
     def recalibrate(self, resident_keys: Sequence[tuple[Level, int]]) -> int:
         """Rebuild the whole cost surface after the size estimator moved.
@@ -166,309 +169,144 @@ class CostStore:
         (:meth:`SizeEstimator.observe_append`), which silently invalidates
         every memoised aggregation cost and every maintained ``Cost``
         entry derived from the old fills.  This drops the size-derived
-        memos (``_agg_cost`` — per-chunk geometry caches stay, they never
-        change) and re-derives cost/best-parent state from scratch for
-        exactly ``resident_keys``, through the same batched insertion
-        wave ordinary admissions use.  Returns the updates applied.
+        option memo and re-derives cost/best-parent state from scratch for
+        exactly ``resident_keys`` in one insertion wave.  Returns the
+        updates applied.
         """
         with self._lock:
-            self._agg_cost.clear()
-            for level in self.schema.all_levels():
-                n = self.schema.num_chunks(level)
-                self._cost[level].fill(np.inf)
-                self._best[level].fill(BEST_NONE)
-                self._cached[level] = np.zeros(n, dtype=bool)
-        return self.on_insert_many(list(resident_keys)) if resident_keys else 0
-
-    def on_evict_many(self, keys: Sequence[tuple[Level, int]]) -> int:
-        """A wave of chunks left the cache (mirror of ``on_insert_many``)."""
-        with self._lock:
-            for level, number in keys:
-                if not self._cached[level][number]:
-                    raise ReproError(
-                        f"evicting chunk {number} of level {level} which the "
-                        "cost store does not believe is cached"
-                    )
-            before = self.total_updates
-            if len(keys) < self.batch_crossover:
-                for level, number in keys:
-                    self._cached[level][number] = False
-                    cost, best = self._best_option(level, number)
-                    self._apply(level, number, cost, best)
-            else:
-                self._wave_update(keys, insert=False)
-            return self.total_updates - before
-
-    def scalar_on_insert(self, level: Level, number: int) -> int:
-        """Reference change-directed recursive cascade — the oracle the
-        batched wave is property-tested against, and the per-chunk side
-        of the ``update`` benchmark."""
-        with self._lock:
-            before = self.total_updates
-            self._cached[level][number] = True
-            self._apply(level, number, 0.0, BEST_CACHED)
-            return self.total_updates - before
-
-    def scalar_on_evict(self, level: Level, number: int) -> int:
-        """Reference per-chunk eviction cascade (see ``scalar_on_insert``)."""
-        with self._lock:
-            if not self._cached[level][number]:
-                raise ReproError(
-                    f"evicting chunk {number} of level {level} which the cost "
-                    "store does not believe is cached"
-                )
-            before = self.total_updates
-            self._cached[level][number] = False
-            cost, best = self._best_option(level, number)
-            self._apply(level, number, cost, best)
-            return self.total_updates - before
+            self._options.clear()
+            self._flat_cost.fill(np.inf)
+            self._flat_best.fill(BEST_NONE)
+            self._flat_cached.fill(False)
+            return self._settle(resident_keys, insert=True)
 
     # ------------------------------------------------------------------ #
     # internals
 
-    def _parent_chunk_list(
-        self, level: Level, number: int, parent: Level
-    ) -> list[int]:
-        """Memoised plain-list view of ``get_parent_chunk_numbers`` (small
-        lists sum faster in Python than through numpy fancy indexing)."""
-        key = (level, number, parent)
-        cached = self._pcs_lists.get(key)
-        if cached is None:
-            cached = self.schema.get_parent_chunk_numbers(
-                level, number, parent
-            ).tolist()
-            self._pcs_lists[key] = cached
-        return cached
+    def _settle(self, keys: Sequence[tuple[Level, int]], insert: bool) -> int:
+        """One single-sign wave: direct effects, then one lattice-order
+        pass settling each dirty chunk at most once.
 
-    def _aggregation_cost(self, level: Level, number: int, parent: Level) -> float:
-        """Estimated tuples read when aggregating the parent chunks of
-        (level, number) at ``parent`` — the per-step cost of the paper's
-        linear model.  Pure schema arithmetic, memoised."""
-        key = (level, number, parent)
-        cached = self._agg_cost.get(key)
-        if cached is None:
-            cached = float(
-                sum(
-                    self.sizes.chunk_tuples(parent, n)
-                    for n in self._parent_chunk_list(level, number, parent)
-                )
-            )
-            self._agg_cost[key] = cached
-        return cached
+        ``dirty[sum(level)][chunk]`` is a bit mask of the parent indices
+        whose chunks changed cost.  A directly evicted chunk is dirty with
+        an empty mask: its ``BEST_CACHED`` pointer forces a
+        re-minimisation.
+        """
+        dirty: list[dict[int, int]] = [{} for _ in range(self._depth + 1)]
+        costs, bests, cached = self._flat_cost, self._flat_best, self._flat_cached
+        updates = 0
+        for level, number in keys:
+            chunk = self._offset[level] + number
+            if insert:
+                cached[chunk] = True
+                old_cost = costs.item(chunk)
+                if old_cost == 0.0 and bests[chunk] == BEST_CACHED:
+                    continue
+                costs[chunk] = 0.0
+                bests[chunk] = BEST_CACHED
+                updates += 1
+                if old_cost != 0.0:
+                    self._mark_children(chunk, dirty[sum(level) - 1])
+            else:
+                cached[chunk] = False
+                dirty[sum(level)].setdefault(chunk, 0)
+        for level_sum in range(self._depth, -1, -1):
+            # Every child is one lattice edge down (the apex has none).
+            children = dirty[level_sum - 1]
+            for chunk, changed in dirty[level_sum].items():
+                if cached[chunk]:
+                    # A cached chunk stays at cost 0 whatever its parents do.
+                    continue
+                old_cost = costs.item(chunk)
+                old_best = bests.item(chunk)
+                if insert:
+                    # Costs only fell: the old optimum against the changed
+                    # parents' paths, the lower index winning a tie.
+                    cost, best = old_cost, old_best
+                    options = self._chunk_options(chunk)
+                    idx = 0
+                    while changed:
+                        if changed & 1:
+                            via = self._via(options[idx])
+                            if via < cost or (via == cost and idx < best):
+                                cost, best = via, idx
+                        changed >>= 1
+                        idx += 1
+                elif old_best == BEST_CACHED or (
+                    old_best >= 0 and (changed >> old_best) & 1
+                ):
+                    cost, best = self._best_option(self._chunk_options(chunk))
+                else:
+                    # Costs only rose and the best path is untouched: it
+                    # is still the first least-cost one.
+                    continue
+                if cost == old_cost and best == old_best:
+                    continue
+                costs[chunk] = cost
+                bests[chunk] = best
+                updates += 1
+                if cost != old_cost:
+                    self._mark_children(chunk, children)
+        self.total_updates += updates
+        return updates
 
-    def _cost_via(self, level: Level, number: int, parent: Level) -> float:
-        """Cost of computing the chunk through one specific parent."""
-        costs = self._cost[parent]
-        numbers = self._parent_chunk_list(level, number, parent)
-        if len(numbers) > 24:
-            # Long lists (near-base coverage of aggregated chunks): numpy.
-            key = (level, number, parent)
-            arr = self._pcs_arrays.get(key)
-            if arr is None:
-                arr = np.asarray(numbers, dtype=np.int64)
-                self._pcs_arrays[key] = arr
-            total = float(costs[arr].sum())
-            if math.isinf(total) or math.isnan(total):
-                return math.inf
-            return total + self._aggregation_cost(level, number, parent)
+    def _chunk_options(self, chunk: int) -> tuple[_Option, ...]:
+        """Memoised ``(parent chunk indices, aggregation cost)`` per
+        parent index; the aggregation cost is the estimated tuples read
+        when aggregating those parent chunks — the per-step cost of the
+        paper's linear model."""
+        options = self._options.get(chunk)
+        if options is None:
+            level, number = self._keys[chunk]
+            chunk_tuples = self.sizes.chunk_tuples
+            built = []
+            for parent in self._parents[level]:
+                numbers = self.schema.get_parent_chunk_numbers(
+                    level, number, parent
+                ).tolist()
+                start = self._offset[parent]
+                built.append((
+                    tuple(start + n for n in numbers),
+                    float(sum(chunk_tuples(parent, n) for n in numbers)),
+                ))
+            options = self._options[chunk] = tuple(built)
+        return options
+
+    def _via(self, option: _Option) -> float:
+        """Cost of computing a chunk through one specific parent.  Plain
+        floats: lattice edges map to one or two parent chunks, where a
+        numpy gather costs several times the arithmetic."""
+        parents, agg_cost = option
+        cost = self._flat_cost.item
         total = 0.0
-        for n in numbers:
-            c = costs[n]
-            if c == math.inf:
-                return math.inf
-            total += c
-        return total + self._aggregation_cost(level, number, parent)
+        for parent in parents:
+            total += cost(parent)
+        return total + agg_cost
 
-    def _best_option(self, level: Level, number: int) -> tuple[float, int]:
-        """Least cost over all parents (assuming the chunk is not cached)."""
-        best_cost = math.inf
+    def _best_option(self, options: tuple[_Option, ...]) -> tuple[float, int]:
+        """First least cost over all parents (the chunk is not cached)."""
+        best_cost = np.inf
         best_idx = BEST_NONE
-        for idx, parent in enumerate(self._parents[level]):
-            total = self._cost_via(level, number, parent)
-            if total < best_cost:
-                best_cost = total
+        for idx, option in enumerate(options):
+            via = self._via(option)
+            if via < best_cost:
+                best_cost = via
                 best_idx = idx
         return best_cost, best_idx
 
-    def _apply(self, level: Level, number: int, cost: float, best: int) -> None:
-        """Write a chunk's (cost, best) and propagate if the cost changed."""
-        old_cost = float(self._cost[level][number])
-        old_best = int(self._best[level][number])
-        cost_changed = _differs(old_cost, cost)
-        if not cost_changed and old_best == best:
-            return
-        self._cost[level][number] = cost
-        self._best[level][number] = best
-        self.total_updates += 1
-        if not cost_changed:
-            # Only the path identity changed; children costs are built from
-            # our cost value, so nothing further to do.
-            return
-        if (
-            self.rel_tol > 0.0
-            and math.isfinite(old_cost)
-            and math.isfinite(cost)
-            and abs(cost - old_cost) <= self.rel_tol * max(old_cost, cost)
-        ):
-            # Sub-tolerance drift: keep descendants' (slightly stale)
-            # costs rather than cascading for noise.
-            return
-        improved = cost < old_cost
-        for child_level, child_number, my_idx in self._child_entries(
-            level, number
-        ):
-            if self._cached[child_level][child_number]:
-                # A cached child stays at cost 0 whatever we do; its own
-                # children depend only on that 0, so propagation stops.
-                continue
-            child_cost = float(self._cost[child_level][child_number])
-            child_best = int(self._best[child_level][child_number])
-            if improved:
-                # Our path can only have gotten cheaper: compare it against
-                # the child's current cost; no full re-minimisation needed.
-                via = self._cost_via(child_level, child_number, level)
-                if via < child_cost - _TOL:
-                    self._apply(child_level, child_number, via, my_idx)
-                elif child_best == my_idx and _differs(via, child_cost):
-                    new_cost, new_best = self._best_option(
-                        child_level, child_number
-                    )
-                    self._apply(child_level, child_number, new_cost, new_best)
-            else:
-                # Our cost rose (or became inf): only children whose best
-                # path ran through us can be affected.
-                if child_best == my_idx or child_best == BEST_NONE:
-                    new_cost, new_best = self._best_option(
-                        child_level, child_number
-                    )
-                    self._apply(child_level, child_number, new_cost, new_best)
-
-
-    def _child_entries(
-        self, level: Level, number: int
-    ) -> list[tuple[Level, int, int]]:
-        """Memoised ``(child_level, child_number, our-parent-index)``
-        triples for one chunk — the propagation fan-out."""
-        key = (level, number)
-        entries = self._children.get(key)
+    def _mark_children(self, chunk: int, children: dict[int, int]) -> None:
+        """Flag every child of a chunk whose cost changed, recording which
+        of the child's parent indices the change arrived through."""
+        entries = self._children.get(chunk)
         if entries is None:
-            entries = []
-            for child_level in self.schema.children_of(level):
-                child_number = self.schema.get_child_chunk_number(
-                    level, number, child_level
+            level, number = self._keys[chunk]
+            entries = self._children[chunk] = tuple(
+                (
+                    self._offset[child_level]
+                    + self.schema.get_child_chunk_number(level, number, child_level),
+                    1 << self._parents[child_level].index(level),
                 )
-                entries.append(
-                    (
-                        child_level,
-                        child_number,
-                        self._parent_index[child_level][level],
-                    )
-                )
-            self._children[key] = entries
-        return entries
-
-    # ------------------------------------------------------------------ #
-    # batched wave propagation
-
-    def _mark_children_dirty(
-        self, level: Level, number: int, dirty: dict[Level, set[int]]
-    ) -> None:
-        for child_level, child_number, _ in self._child_entries(level, number):
-            bucket = dirty.get(child_level)
-            if bucket is None:
-                bucket = set()
-                dirty[child_level] = bucket
-            bucket.add(child_number)
-
-    def _wave_update(self, keys: Sequence[tuple[Level, int]], insert: bool) -> None:
-        """Apply one single-sign wave of direct insertions/evictions.
-
-        ``dirty[level]`` is the frontier: chunks whose (cost, best) must
-        be re-minimised once their parent levels have settled.  Direct
-        insertions need no parent information (cost 0 by definition) and
-        are written up front; direct evictions join the frontier at their
-        own level because a single wave may evict at several levels and a
-        chunk's recomputation reads its parents' final costs.
-        """
-        dirty: dict[Level, set[int]] = {}
-        for level, number in keys:
-            if insert:
-                self._cached[level][number] = True
-                old_cost = float(self._cost[level][number])
-                old_best = int(self._best[level][number])
-                cost_changed = _differs(old_cost, 0.0)
-                if not cost_changed and old_best == BEST_CACHED:
-                    continue
-                self._cost[level][number] = 0.0
-                self._best[level][number] = BEST_CACHED
-                self.total_updates += 1
-                if cost_changed and not self._within_rel_tol(old_cost, 0.0):
-                    self._mark_children_dirty(level, number, dirty)
-            else:
-                self._cached[level][number] = False
-                bucket = dirty.get(level)
-                if bucket is None:
-                    bucket = set()
-                    dirty[level] = bucket
-                bucket.add(number)
-        for level in self._topo_levels:
-            frontier = dirty.get(level)
-            if not frontier:
-                continue
-            cached = self._cached[level]
-            numbers = [n for n in sorted(frontier) if not cached[n]]
-            if not numbers:
-                # Cached chunks stay at cost 0 whatever their parents do;
-                # their children depend only on that 0, so the frontier
-                # dies here (mirrors the scalar cascade's cached-child
-                # early-out).
-                continue
-            idx = np.asarray(numbers, dtype=np.int64)
-            old_costs = self._cost[level][idx].copy()
-            old_bests = self._best[level][idx].copy()
-            new_costs = np.empty(len(numbers), dtype=np.float64)
-            new_bests = np.empty(len(numbers), dtype=np.int16)
-            for i, number in enumerate(numbers):
-                cost, best = self._best_option(level, number)
-                new_costs[i] = cost
-                new_bests[i] = best
-            cost_changed = _differs_vec(old_costs, new_costs)
-            changed = cost_changed | (old_bests != new_bests)
-            if changed.any():
-                self._cost[level][idx[changed]] = new_costs[changed]
-                self._best[level][idx[changed]] = new_bests[changed]
-                self.total_updates += int(changed.sum())
-            propagate = cost_changed
-            if self.rel_tol > 0.0 and propagate.any():
-                with np.errstate(invalid="ignore"):
-                    finite = np.isfinite(old_costs) & np.isfinite(new_costs)
-                    sub_tol = finite & (
-                        np.abs(new_costs - old_costs)
-                        <= self.rel_tol * np.maximum(old_costs, new_costs)
-                    )
-                propagate &= ~sub_tol
-            for i in np.flatnonzero(propagate):
-                self._mark_children_dirty(level, int(idx[i]), dirty)
-
-    def _within_rel_tol(self, old_cost: float, new_cost: float) -> bool:
-        """The sub-tolerance propagation cutoff (scalar form)."""
-        return (
-            self.rel_tol > 0.0
-            and math.isfinite(old_cost)
-            and math.isfinite(new_cost)
-            and abs(new_cost - old_cost)
-            <= self.rel_tol * max(old_cost, new_cost)
-        )
-
-
-def _differs_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_differs` — elementwise noise cutoff."""
-    both_inf = np.isinf(a) & np.isinf(b)
-    with np.errstate(invalid="ignore"):
-        return ~both_inf & (np.abs(a - b) > _TOL)
-
-
-def _differs(a: float, b: float) -> bool:
-    if math.isinf(a) and math.isinf(b):
-        return False
-    return abs(a - b) > _TOL
+                for child_level in self.schema.children_of(level)
+            )
+        for child, bit in entries:
+            children[child] = children.get(child, 0) | bit

@@ -35,6 +35,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.store import ChunkCache
 from repro.chunks.chunk import Chunk, ChunkOrigin
+from repro.core.costs import CostStore
 from repro.core.counts import CountStore
 from repro.core.plans import PlanCache, PlanNode
 from repro.core.rwlock import ReadWriteLock
@@ -209,11 +210,6 @@ class AggregateCache:
         evicting the pre-loaded group.
     visit_budget:
         Optional per-lookup visit cap for the exhaustive strategies.
-    cost_rel_tol:
-        VCMC only: relative cost changes below this threshold are not
-        propagated through the cost store, bounding maintenance work
-        under churn at the price of slightly stale (never wrong-
-        computability) cost estimates.  Set 0.0 for exact maintenance.
     use_cost_optimizer:
         The paper's Section 5.2 application of VCMC's maintained costs:
         when a chunk *is* computable from the cache but the estimated
@@ -272,7 +268,6 @@ class AggregateCache:
         preload_headroom: float = 1.0,
         visit_budget: int | None = None,
         sizes: SizeEstimator | None = None,
-        cost_rel_tol: float = 0.02,
         use_cost_optimizer: bool = False,
         plan_cache: bool | PlanCache = True,
         degraded_mode: bool = False,
@@ -292,12 +287,7 @@ class AggregateCache:
         )
         if isinstance(strategy, str):
             strategy = make_strategy(
-                strategy,
-                schema,
-                self.cache,
-                self.sizes,
-                visit_budget,
-                cost_rel_tol=cost_rel_tol,
+                strategy, schema, self.cache, self.sizes, visit_budget
             )
         self.strategy = strategy
         self.strategy.obs = self.obs
@@ -1153,11 +1143,12 @@ class AggregateCache:
     def check_invariants(self) -> None:
         """Raise :class:`ReproError` naming the first violated invariant.
 
-        Two checks, meaningful at rest (no query or maintenance call in
+        Three checks, meaningful at rest (no query or maintenance call in
         flight): ``used_bytes`` equals the sum of resident entry sizes,
-        and every maintained :class:`~repro.core.counts.CountStore`
-        array equals one rebuilt from scratch off the resident set
-        (vacuous for strategies that keep no counts).
+        and every maintained :class:`~repro.core.counts.CountStore` and
+        :class:`~repro.core.costs.CostStore` array equals one rebuilt from
+        scratch off the resident set (vacuous for strategies that keep no
+        such state).
         """
         cache = self.cache
         resident_bytes = sum(entry.size_bytes for entry in cache.entries())
@@ -1166,22 +1157,39 @@ class AggregateCache:
                 f"byte accounting violated: used_bytes={cache.used_bytes} "
                 f"but resident entries sum to {resident_bytes}"
             )
+        resident = cache.resident_keys()
         counts = getattr(self.strategy, "counts", None)
-        if not isinstance(counts, CountStore):
-            return
-        rebuilt = CountStore(self.schema)
-        # One key at a time: singleton waves run the scalar cascades, so
-        # the rebuild does not share the batched path it is checking.
-        for level, number in cache.resident_keys():
-            rebuilt.on_insert(level, number)
-        for level in self.schema.all_levels():
-            if not np.array_equal(
-                counts.counts_array(level), rebuilt.counts_array(level)
-            ):
-                raise ReproError(
-                    f"count maintenance violated: counts at level {level} "
-                    "differ from a rebuild off the resident set"
-                )
+        if isinstance(counts, CountStore):
+            rebuilt = CountStore(self.schema)
+            # One key at a time: singleton waves run the scalar cascades,
+            # so the rebuild does not share the batched path it checks.
+            for level, number in resident:
+                rebuilt.on_insert(level, number)
+            for level in self.schema.all_levels():
+                if not np.array_equal(
+                    counts.counts_array(level), rebuilt.counts_array(level)
+                ):
+                    raise ReproError(
+                        f"count maintenance violated: counts at level {level} "
+                        "differ from a rebuild off the resident set"
+                    )
+        costs = getattr(self.strategy, "costs", None)
+        if isinstance(costs, CostStore):
+            rebuilt_costs = CostStore(self.schema, costs.sizes)
+            rebuilt_costs.on_insert_many(resident)
+            for level in self.schema.all_levels():
+                if not (
+                    np.array_equal(
+                        costs.cost_array(level), rebuilt_costs.cost_array(level)
+                    )
+                    and np.array_equal(
+                        costs.best_array(level), rebuilt_costs.best_array(level)
+                    )
+                ):
+                    raise ReproError(
+                        f"cost maintenance violated: Cost/BestParent at level "
+                        f"{level} differ from a rebuild off the resident set"
+                    )
 
     def describe(self) -> str:
         return (

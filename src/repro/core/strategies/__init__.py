@@ -31,28 +31,14 @@ def make_strategy(
     presence: ChunkPresence,
     sizes: SizeEstimator,
     visit_budget: int | None = None,
-    cost_rel_tol: float = 0.0,
 ) -> LookupStrategy:
-    """Instantiate a lookup strategy by name (one of ``STRATEGY_NAMES``).
-
-    ``cost_rel_tol`` only applies to VCMC: cost changes below this
-    relative threshold are not propagated (see
-    :class:`~repro.core.costs.CostStore`).
-    """
+    """Instantiate a lookup strategy by name (one of ``STRATEGY_NAMES``)."""
     try:
         cls = _STRATEGIES[name.lower()]
     except KeyError:
         raise ReproError(
             f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}"
         ) from None
-    if cls is VCMCStrategy:
-        return cls(
-            schema,
-            presence,
-            sizes,
-            visit_budget=visit_budget,
-            cost_rel_tol=cost_rel_tol,
-        )
     return cls(schema, presence, sizes, visit_budget=visit_budget)
 
 

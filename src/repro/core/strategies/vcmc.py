@@ -38,11 +38,10 @@ class VCMCStrategy(LookupStrategy):
         presence: ChunkPresence,
         sizes: SizeEstimator,
         visit_budget: int | None = None,
-        cost_rel_tol: float = 0.0,
     ) -> None:
         super().__init__(schema, presence, sizes, visit_budget)
         self.counts = CountStore(schema)
-        self.costs = CostStore(schema, sizes, rel_tol=cost_rel_tol)
+        self.costs = CostStore(schema, sizes)
 
     def _find(self, level: Level, number: int) -> PlanNode | None:
         self._visit()

@@ -89,12 +89,9 @@ def merge_partials(
         by_number[estimate.number] = estimate
     estimated = tuple(by_number[n] for n in numbers if n in by_number)
     dead = set(dead_numbers)
+    missing = dead.union(n for p in partials for n in p.unanswered)
     unanswered = tuple(
-        itertools.chain(
-            (n for p in partials for n in p.unanswered
-             if n not in by_number),
-            (n for n in numbers if n in dead and n not in by_number),
-        )
+        n for n in numbers if n in missing and n not in by_number
     )
     breakdown = TimeBreakdown()
     for partial in partials:

@@ -91,7 +91,6 @@ def test_outage_chaos_under_approx_contract(
         capacity_bytes=max(int(backend.base_size_bytes * 0.6), 1),
         strategy="vcmc",
         policy="two_level",
-        cost_rel_tol=0.0,
         degraded_mode=True,
         approx=FRACTION,
         approx_seed=seed,
@@ -129,7 +128,6 @@ def test_append_races_under_approx_contract(small_schema, small_facts, seed):
         capacity_bytes=max(int(backend.base_size_bytes * 0.7), 1),
         strategy="vcmc",
         policy="two_level",
-        cost_rel_tol=0.0,
         approx=FRACTION,
         approx_seed=seed,
     )

@@ -99,15 +99,30 @@ class TestCrossLevelMapping:
             schema.get_child_chunk_number((0, 1, 1), 0, (1, 1, 1))
 
     def test_parent_numbers_stable_and_span_table_cached(self, schema):
-        # Results are built per call from the coordinate-pattern span
-        # table (no unbounded per-chunk-number result dict), so repeated
-        # calls agree by value and only the span table is memoised.
+        # Non-edge results are built per call from the coordinate-pattern
+        # span table (no unbounded per-chunk-number result dict), so
+        # repeated calls agree by value and only the span table is
+        # memoised.
         a = schema.get_parent_chunk_numbers((0, 0, 0), 0, schema.base_level)
         b = schema.get_parent_chunk_numbers((0, 0, 0), 0, schema.base_level)
         assert np.array_equal(a, b)
         spans_a = schema.chunks.child_chunk_spans((0, 0, 0), schema.base_level)
         spans_b = schema.chunks.child_chunk_spans((0, 0, 0), schema.base_level)
         assert spans_a is spans_b  # memoised per (level, parent_level)
+
+    def test_edge_parent_numbers_memoised_read_only(self, schema):
+        # Immediate lattice parents (component sums one apart) share one
+        # memoised read-only array; farther ancestors get a fresh one.
+        level, parent = (1, 1, 0), (1, 1, 1)
+        a = schema.get_parent_chunk_numbers(level, 0, parent)
+        assert schema.get_parent_chunk_numbers(level, 0, parent) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+        base = schema.base_level
+        far = schema.get_parent_chunk_numbers((0, 0, 0), 0, base)
+        assert schema.get_parent_chunk_numbers((0, 0, 0), 0, base) is not far
+        assert far.flags.writeable
 
     def test_chunk_coords_memoised(self, schema):
         level = schema.base_level

@@ -1,11 +1,13 @@
-"""The adaptive scalar/batched crossover in the metadata stores.
+"""The adaptive scalar/batched crossover in the count store.
 
-``on_insert_many``/``on_evict_many`` route waves below
+``CountStore.on_insert_many``/``on_evict_many`` route waves below
 ``batch_crossover`` through the scalar cascades (one lock hold, no
 per-level array setup) and larger waves through the vectorised wave
 machinery.  Both paths are the same function semantically; these tests
 pin that — state, update charges and failure behaviour must not depend
-on which side of the threshold a wave lands."""
+on which side of the threshold a wave lands.  The cost store has a
+single wave path; the same wave sizes pin its state against the oracle
+and the one-wave rebuild."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from repro.core.counts import CountStore
 from repro.core.sizes import SizeEstimator
 from repro.schema import apb_tiny_schema
 from repro.util.errors import ReproError
+from tests.helpers import IntegerSizes, assert_cost_state_exact
 
 SCHEMA = apb_tiny_schema()
 
@@ -34,7 +37,7 @@ def _wave(size: int):
 
 def _fresh_stores():
     sizes = SizeEstimator(SCHEMA, total_base_tuples=500)
-    return CountStore(SCHEMA), CostStore(SCHEMA, sizes, rel_tol=0.0)
+    return CountStore(SCHEMA), CostStore(SCHEMA, sizes)
 
 
 @pytest.mark.parametrize("size", [1, 4, 31, 32, 40])
@@ -60,21 +63,17 @@ def test_crossover_sides_leave_identical_count_state(size):
 
 @pytest.mark.parametrize("size", [1, 31, 32, 40])
 def test_crossover_sides_leave_identical_cost_state(size):
+    """Cost waves of sizes either side of the count store's crossover
+    leave the oracle's (Cost, BestParent) and the one-wave rebuild's
+    arrays, through insertion, a partial and a full eviction."""
     keys = _wave(size)
-    _, small = _fresh_stores()
-    _, large = _fresh_stores()
-    small.batch_crossover = len(keys) + 1
-    large.batch_crossover = 0
-    small.on_insert_many(keys)
-    large.on_insert_many(keys)
-    for level in SCHEMA.all_levels():
-        assert np.array_equal(small._cost[level], large._cost[level])
-        assert np.array_equal(small._cached[level], large._cached[level])
-    small.on_evict_many(keys)
-    large.on_evict_many(keys)
-    for level in SCHEMA.all_levels():
-        assert np.array_equal(small._cost[level], large._cost[level])
-        assert np.array_equal(small._cached[level], large._cached[level])
+    store = CostStore(SCHEMA, IntegerSizes())
+    store.on_insert_many(keys)
+    assert_cost_state_exact(store, set(keys))
+    store.on_evict_many(keys[: size // 2])
+    assert_cost_state_exact(store, set(keys[size // 2 :]))
+    store.on_evict_many(keys[size // 2 :])
+    assert_cost_state_exact(store, set())
 
 
 def test_default_crossover_routes_small_waves_scalar():
@@ -82,9 +81,6 @@ def test_default_crossover_routes_small_waves_scalar():
     a per-query wave of a few chunks takes the scalar route."""
     store = CountStore(SCHEMA)
     assert store.batch_crossover == 32
-    assert CostStore(
-        SCHEMA, SizeEstimator(SCHEMA, total_base_tuples=500)
-    ).batch_crossover == 32
 
 
 def test_scalar_evict_path_validates_before_mutating():
@@ -108,8 +104,9 @@ def test_scalar_evict_path_validates_before_mutating():
 
 def test_scalar_cost_evict_path_validates_before_mutating():
     sizes = SizeEstimator(SCHEMA, total_base_tuples=500)
-    store = CostStore(SCHEMA, sizes, rel_tol=0.0)
+    store = CostStore(SCHEMA, sizes)
     base = SCHEMA.base_level
     store.on_insert_many([(base, 0)])
     with pytest.raises(ReproError):
         store.on_evict_many([(base, 0), (base, 1)])  # chunk 1 not cached
+    assert store.is_cached(base, 0), "failed wave must not evict anything"

@@ -1,20 +1,19 @@
-"""Property suite: batched maintenance waves equal the scalar cascades.
+"""Property suite: maintenance waves leave exact, order-independent state.
 
-``on_insert_many`` / ``on_evict_many`` replace N recursive per-chunk
-cascades with one vectorised pass per lattice level — an optimisation
-that must be *invisible*: after any interleaving of insert and evict
-waves, a store driven by batched waves holds exactly the state of a
-store driven by the scalar reference cascades (``scalar_on_insert`` /
-``scalar_on_evict``) one key at a time.
+For counts, ``on_insert_many`` / ``on_evict_many`` replace N recursive
+per-chunk cascades with one vectorised pass per lattice level — an
+optimisation that must be *invisible*: after any interleaving of insert
+and evict waves, a store driven by batched waves holds exactly the state
+of a store driven by the scalar reference cascades (``scalar_on_insert``
+/ ``scalar_on_evict``) one key at a time, and charges the same number of
+updates (the paper's Table 2 metric).
 
-For counts that means bitwise-equal count arrays AND the same
-``total_updates`` charge (the paper's Table 2 metric).  For costs it
-means bitwise-equal cost/cached arrays — guaranteed here by an
-integer-valued size stub, so every path cost is an exact float64 sum —
-with best-parent pointers equal or tied: at an exact cost tie the
-scalar cascade keeps its historical pointer while the batched
-re-minimisation takes the first strict minimum, and both are valid
-least-cost paths.
+Costs have one wave path.  After every wave the ``Cost`` array equals the
+brute-force least cost (``oracle_min_cost`` over integer sizes, so exact
+``==``), every ``BestParent`` is the first least-cost parent, the arrays
+are bit-identical to a store rebuilt from the resident set in one wave,
+and the wave's update charge is the number of chunks whose
+``(Cost, BestParent)`` changed.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.costs import CostStore
 from repro.core.counts import CountStore
 from repro.schema import apb_tiny_schema
+from tests.helpers import IntegerSizes, assert_cost_state_exact
 
 SCHEMA = apb_tiny_schema()
 ALL_KEYS = [
@@ -33,15 +33,6 @@ ALL_KEYS = [
     for level in SCHEMA.all_levels()
     for number in range(SCHEMA.num_chunks(level))
 ]
-
-
-class IntegerSizes:
-    """Deterministic integer chunk sizes: path costs become exact small
-    float64 sums, so batched and scalar cost arithmetic is bitwise equal
-    regardless of summation order."""
-
-    def chunk_tuples(self, level, number) -> int:
-        return sum(level) * 7 + number % 5 + 1
 
 
 @st.composite
@@ -88,14 +79,18 @@ def apply_scalar(store, op: str, keys) -> int:
     return sum(method(level, number) for level, number in keys)
 
 
+def apply_wave(store, op: str, keys) -> int:
+    method = store.on_insert_many if op == "insert" else store.on_evict_many
+    return method(keys)
+
+
 def apply_batched(store, op: str, keys) -> int:
     # Force the vectorised wave path regardless of wave size: the oracle
     # comparison must exercise the batched machinery, not the scalar
     # small-wave shortcut the crossover would take for these tiny waves
     # (the crossover itself is covered by test_batch_crossover.py).
     store.batch_crossover = 0
-    method = store.on_insert_many if op == "insert" else store.on_evict_many
-    return method(keys)
+    return apply_wave(store, op, keys)
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,44 +111,46 @@ def test_batched_count_waves_equal_scalar_cascades(schedule):
     assert batched.total_updates == scalar.total_updates
 
 
-def assert_best_equivalent(scalar: CostStore, batched: CostStore) -> None:
-    """Pointers equal, or tied: each store's recorded pointer reaches its
-    (identical) recorded least cost."""
-    for level in SCHEMA.all_levels():
-        differs = np.flatnonzero(scalar._best[level] != batched._best[level])
-        for number in differs.tolist():
-            for store in (scalar, batched):
-                best = int(store._best[level][number])
-                assert best >= 0, (
-                    f"pointer sentinel mismatch at level {level} "
-                    f"chunk {number}"
-                )
-                via = store._cost_via(
-                    level, number, store._parents[level][best]
-                )
-                assert via == float(store._cost[level][number]), (
-                    f"non-minimal best parent at level {level} "
-                    f"chunk {number}"
-                )
+def cost_state(store: CostStore) -> dict:
+    return {
+        level: (store.cost_array(level).copy(), store.best_array(level).copy())
+        for level in SCHEMA.all_levels()
+    }
 
 
 @settings(max_examples=60, deadline=None)
 @given(schedule=wave_schedules())
-def test_batched_cost_waves_equal_scalar_cascades(schedule):
-    sizes = IntegerSizes()
-    scalar = CostStore(SCHEMA, sizes, rel_tol=0.0)
-    batched = CostStore(SCHEMA, sizes, rel_tol=0.0)
+def test_cost_waves_equal_oracle_and_rebuild(schedule):
+    store = CostStore(SCHEMA, IntegerSizes())
+    resident: set = set()
     for op, keys in schedule:
-        apply_scalar(scalar, op, keys)
-        apply_batched(batched, op, keys)
-        for level in SCHEMA.all_levels():
-            assert np.array_equal(
-                scalar._cost[level], batched._cost[level]
-            ), f"costs diverged at level {level} after {op} wave {keys}"
-            assert np.array_equal(
-                scalar._cached[level], batched._cached[level]
-            ), f"cached flags diverged at level {level}"
-        assert_best_equivalent(scalar, batched)
+        apply_wave(store, op, keys)
+        if op == "insert":
+            resident.update(keys)
+        else:
+            resident.difference_update(keys)
+        assert_cost_state_exact(store, resident)
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule=wave_schedules())
+def test_cost_wave_charges_each_changed_chunk_once(schedule):
+    """A wave's update charge is the number of chunks whose
+    ``(Cost, BestParent)`` differs before and after it — a chunk reached
+    along several changed lattice paths is still settled once."""
+    store = CostStore(SCHEMA, IntegerSizes())
+    for op, keys in schedule:
+        before = cost_state(store)
+        updates = apply_wave(store, op, keys)
+        after = cost_state(store)
+        changed = sum(
+            int(np.count_nonzero(
+                (before[level][0] != after[level][0])
+                | (before[level][1] != after[level][1])
+            ))
+            for level in SCHEMA.all_levels()
+        )
+        assert updates == changed, f"{op} wave {keys}"
 
 
 @settings(max_examples=40, deadline=None)

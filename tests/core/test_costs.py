@@ -12,7 +12,7 @@ from repro.core.costs import CostStore
 from repro.core.sizes import SizeEstimator
 from repro.schema import apb_tiny_schema
 from repro.util.errors import ReproError
-from tests.helpers import oracle_min_cost
+from tests.helpers import oracle_computable, oracle_min_cost
 
 
 @pytest.fixture
@@ -41,6 +41,42 @@ def assert_costs_match_oracle(schema, sizes, store, cached):
             assert math.isinf(actual), (level, number)
         else:
             assert actual == pytest.approx(expected), (level, number)
+
+
+def load_base(schema, store):
+    cached = set()
+    for n in range(schema.num_chunks(schema.base_level)):
+        store.on_insert(schema.base_level, n)
+        cached.add((schema.base_level, n))
+    return cached
+
+
+def test_computability_always_exact(schema, sizes):
+    store = CostStore(schema, sizes)
+    cached = load_base(schema, store)
+    store.on_insert((1, 1, 0), 0)
+    cached.add(((1, 1, 0), 0))
+    store.on_evict(schema.base_level, 0)
+    cached.discard((schema.base_level, 0))
+    for level, number in all_keys(schema):
+        expected = oracle_computable(schema, cached, level, number)
+        assert store.is_computable(level, number) == expected
+
+
+def test_zero_tolerance_is_exact(schema, sizes):
+    """No cost change is too small to propagate: one mid-level insert
+    over a full base leaves every chunk at its true least cost."""
+    exact = CostStore(schema, sizes)
+    cached = load_base(schema, exact)
+    exact.on_insert((0, 1, 1), 1)
+    cached.add(((0, 1, 1), 1))
+    for level, number in all_keys(schema):
+        truth = oracle_min_cost(schema, sizes, cached, level, number)
+        got = exact.cost(level, number)
+        if math.isinf(truth):
+            assert math.isinf(got)
+        else:
+            assert got == pytest.approx(truth)
 
 
 def test_empty_cache_all_infinite(schema, sizes):

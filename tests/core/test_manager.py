@@ -14,6 +14,7 @@ from repro import (
     QueryStreamGenerator,
     generate_fact_table,
 )
+from repro.core.costs import BEST_NONE
 from repro.schema import apb_tiny_schema
 from repro.util.errors import ReproError
 from tests.helpers import direct_aggregate, expected_cells_in_chunk
@@ -177,8 +178,27 @@ class TestCachingBehaviour:
             manager.check_invariants()
         manager.cache.used_bytes -= 1
 
-        manager.strategy.counts.counts_array(tiny_schema.base_level)[0] += 1
+        counts = manager.strategy.counts.counts_array(tiny_schema.base_level)
+        counts[0] += 1
         with pytest.raises(ReproError, match="count maintenance"):
+            manager.check_invariants()
+        counts[0] -= 1
+        manager.check_invariants()
+
+        costs = manager.strategy.costs
+        apex = tiny_schema.apex_level
+        assert costs.is_computable(apex, 0) and not costs.is_cached(apex, 0)
+        cost = costs.cost_array(apex)
+        original = cost[0]
+        cost[0] = original + 1.0
+        with pytest.raises(ReproError, match="cost maintenance violated"):
+            manager.check_invariants()
+        cost[0] = original
+        manager.check_invariants()
+
+        best = costs.best_array(apex)
+        best[0] = BEST_NONE if best[0] != BEST_NONE else 0
+        with pytest.raises(ReproError, match="cost maintenance violated"):
             manager.check_invariants()
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from repro.chunks.chunk import Chunk
+from repro.core.costs import BEST_CACHED, BEST_NONE
 from repro.core.sizes import SizeEstimator
 from repro.schema.cube import CubeSchema, Level
 
@@ -113,6 +114,63 @@ def oracle_min_cost(
         return best
 
     return rec(level, number)
+
+
+class IntegerSizes:
+    """Deterministic integer chunk sizes: every path cost is an exact small
+    float64 sum whatever the summation order, so maintained costs compare
+    to :func:`oracle_min_cost` with exact ``==``."""
+
+    def chunk_tuples(self, level, number) -> int:
+        return sum(level) * 7 + number % 5 + 1
+
+
+def oracle_cost_state(
+    schema: CubeSchema,
+    sizes: SizeEstimator,
+    cached: set[Key],
+    level: Level,
+    number: int,
+) -> tuple[float, int]:
+    """Reference ``(Cost, BestParent)`` of one chunk.
+
+    ``BestParent`` is the index of the *first* parent in
+    ``schema.parents_of(level)`` order whose path reaches the least cost;
+    ``BEST_CACHED`` for a cached chunk, ``BEST_NONE`` when not computable.
+    Path costs are compared with ``==``, so use exact sizes
+    (:class:`IntegerSizes`).
+    """
+    if (level, number) in cached:
+        return 0.0, BEST_CACHED
+    cost = oracle_min_cost(schema, sizes, cached, level, number)
+    if math.isinf(cost):
+        return cost, BEST_NONE
+    for idx, parent in enumerate(schema.parents_of(level)):
+        via = sum(
+            oracle_min_cost(schema, sizes, cached, parent, int(n))
+            + sizes.chunk_tuples(parent, int(n))
+            for n in schema.get_parent_chunk_numbers(level, number, parent)
+        )
+        if via == cost:
+            return cost, idx
+    raise AssertionError(f"no parent reaches the least cost of {level}/{number}")
+
+
+def assert_cost_state_exact(store, resident: set[Key]) -> None:
+    """A :class:`~repro.core.costs.CostStore` over exact sizes holds the
+    oracle's ``(Cost, BestParent)`` for every chunk, and arrays
+    bit-identical to a store rebuilt from ``resident`` in one wave."""
+    schema, sizes = store.schema, store.sizes
+    rebuilt = type(store)(schema, sizes)
+    rebuilt.on_insert_many(sorted(resident))
+    for level in schema.all_levels():
+        for number in range(schema.num_chunks(level)):
+            got = (store.cost(level, number), int(store.best_array(level)[number]))
+            want = oracle_cost_state(schema, sizes, resident, level, number)
+            assert got == want, f"(Cost, BestParent) of {level}/{number}"
+            assert store.is_cached(level, number) == ((level, number) in resident)
+        assert np.array_equal(store.cost_array(level), rebuilt.cost_array(level))
+        assert np.array_equal(store.best_array(level), rebuilt.best_array(level))
 
 
 def direct_aggregate(facts, level: Level) -> dict[tuple[int, ...], float]:

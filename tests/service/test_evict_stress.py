@@ -101,25 +101,20 @@ def test_invalidation_racing_queries_keeps_state_consistent(
             rebuilt_counts.counts_array(level),
         ), f"count store diverged at level {level}"
 
-    # Costs: computability/cached flags exact, cost surface equal up to
-    # the store's sub-noise write cutoff (changes below _TOL are not
-    # written back, so maintained values may carry <=nanotuple drift).
+    # Costs: Cost, BestParent and cached flags bit-identical to a rebuild.
     costs = manager.strategy.costs
     rebuilt_costs = CostStore(tiny_schema, costs.sizes)
     rebuilt_costs.on_insert_many(resident)
     for level in tiny_schema.all_levels():
-        maintained = costs._cost[level]
-        recomputed = rebuilt_costs._cost[level]
         assert np.array_equal(
-            np.isfinite(maintained), np.isfinite(recomputed)
-        ), f"computability diverged at level {level}"
+            costs.cost_array(level), rebuilt_costs.cost_array(level)
+        ), f"cost surface diverged at level {level}"
+        assert np.array_equal(
+            costs.best_array(level), rebuilt_costs.best_array(level)
+        ), f"best parents diverged at level {level}"
         assert np.array_equal(
             costs._cached[level], rebuilt_costs._cached[level]
         ), f"cached flags diverged at level {level}"
-        finite = np.isfinite(maintained)
-        assert np.allclose(
-            maintained[finite], recomputed[finite], rtol=0.0, atol=1e-6
-        ), f"cost surface diverged at level {level}"
 
     # Every cached flag corresponds to a resident chunk and vice versa.
     flagged = {

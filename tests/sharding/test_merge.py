@@ -7,6 +7,8 @@ trip through the exact bytes a :class:`ProcessShard` would move.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -124,6 +126,37 @@ def test_merge_orders_cells_by_plan_not_by_arrival(tiny_schema, tiny_facts):
     assert [c.number for c in merged.chunks] == list(numbers)
     assert merged.coverage == 1.0
     assert not merged.degraded
+
+
+def test_merge_lists_unanswered_in_plan_order(tiny_schema, tiny_facts):
+    """Two degraded partials arriving out of plan order, plus a dead
+    slice between them: ``unanswered`` follows the plan, not arrival."""
+    service = _service(tiny_schema, tiny_facts)
+    query = _base_query(tiny_schema)
+    numbers = list(query.chunk_numbers(tiny_schema))
+    third = len(numbers) // 3
+    head, middle, tail = (
+        numbers[:third], numbers[third:2 * third], numbers[2 * third:]
+    )
+
+    def degraded(shard, part):
+        own = ShardPartial.from_result(
+            shard, service.query_subset(query, part)
+        )
+        return replace(
+            own, chunks=[], complete_hit=False, degraded=True,
+            coverage=0.0, unanswered=tuple(part),
+        )
+
+    merged = merge_partials(
+        query,
+        numbers,
+        [degraded(2, tail), degraded(0, head)],
+        dead_numbers=middle,
+    )
+    assert tuple(merged.unanswered) == tuple(numbers)
+    assert merged.degraded
+    assert merged.coverage == 0.0
 
 
 @pytest.mark.parametrize("aggregate", (SUM, COUNT, AVG))
