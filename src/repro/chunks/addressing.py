@@ -41,7 +41,7 @@ class ChunkAddressing:
         self._span_cache: dict[
             tuple[Level, Level], tuple[tuple[tuple[int, int], ...], ...]
         ] = {}
-        self._child_map_cache: dict[tuple[Level, int, Level], int] = {}
+        self._child_table_cache: dict[tuple[Level, Level], np.ndarray] = {}
         self._edge_parents_cache: dict[tuple[Level, int, Level], np.ndarray] = {}
 
     @property
@@ -194,30 +194,42 @@ class ChunkAddressing:
             self._edge_parents_cache[key] = numbers
         return numbers
 
+    def child_chunk_table(self, level: Level, child_level: Level) -> np.ndarray:
+        """For every chunk number at ``level``, the number of the chunk at
+        the more aggregated ``child_level`` containing it.  Built once per
+        pair in a single pass and returned read-only."""
+        key = (level, child_level)
+        table = self._child_table_cache.get(key)
+        if table is None:
+            # Per dimension, the child chunk index of every chunk index at
+            # ``level``: the span table lists each child index's covering
+            # range, and by the closure property the ranges tile the axis.
+            table = np.zeros(1, dtype=np.int64)
+            for per_coord, stride in zip(
+                self.child_chunk_spans(child_level, level),
+                self._strides(child_level),
+            ):
+                widths = [last - first for first, last in per_coord]
+                child = np.repeat(
+                    np.arange(len(per_coord), dtype=np.int64) * stride, widths
+                )
+                table = (table[:, None] + child[None, :]).ravel()
+            table.flags.writeable = False
+            self._child_table_cache[key] = table
+        return table
+
     def get_child_chunk_number(
         self, level: Level, number: int, child_level: Level
     ) -> int:
         """The chunk at the more aggregated ``child_level`` containing this
-        one.  Memoised: the count/cost maintenance algorithms call it on
-        the same few arguments for every cache movement."""
-        key = (level, number, child_level)
-        cached = self._child_map_cache.get(key)
-        if cached is not None:
-            return cached
-        if not is_computable_from(child_level, level):
+        one (a :meth:`child_chunk_table` lookup)."""
+        table = self.child_chunk_table(level, child_level)
+        if not 0 <= number < table.size:
             raise SchemaError(
-                f"level {child_level} is not a descendant of {level}"
+                f"chunk number {number} out of range at level {level} "
+                f"(has {table.size} chunks)"
             )
-        coords = self.chunk_coords(level, number)
-        child_coords = [
-            dim.parent_chunk_of(l_fine, coord, l_coarse)
-            for dim, l_fine, coord, l_coarse in zip(
-                self._dims, level, coords, child_level
-            )
-        ]
-        result = self.chunk_number(child_level, child_coords)
-        self._child_map_cache[key] = result
-        return result
+        return table.item(number)
 
     # ------------------------------------------------------------------ #
     # cell geometry

@@ -6,11 +6,25 @@ directly present in the cache.  Property 1: a chunk is computable from the
 cache iff its count is non-zero — so VCM answers "is this computable?" with
 a single array read.
 
-Counts are maintained incrementally.  On insert (the paper's
-``VCM_InsertUpdateCount``): increment the chunk's own count; if the chunk
-just became computable, every more-aggregated child whose parent chunks at
-this level are now all computable gains one successful parent path —
-recurse.  Eviction is the exact mirror (the paper omits it for space;
+Counts are a pure function of the resident set, and they are maintained
+one wave at a time (:meth:`CountStore.on_insert_many` /
+:meth:`CountStore.on_evict_many`; a single movement is a wave of one).  A
+wave adds its direct ±1 deltas, then walks the levels most detailed first
+— component sums from the base down to the apex, so every parent level is
+final before its children are reached — and applies each chunk's net
+delta once.  Only a chunk whose computability *flipped* can change a
+child's count, and it does so through one parent path per child (the
+paper's ``VCM_InsertUpdateCount`` step):
+
+* in an insert wave the child gains one if every chunk of the path is now
+  computable;
+* in an evict wave the child loses one if every chunk of the path was
+  computable before the wave — positive now, or flipped by this wave.
+
+Each path is examined once per wave however many of its chunks flipped.
+The wave's charge is the sum of ``|Δcount|`` (the paper's Table 2 metric),
+the same as applying the recursive per-chunk cascade one key at a time.
+Eviction is the exact mirror of insertion (the paper omits it for space;
 Section 4.1 notes it is symmetric).
 
 Counts depend on *residency only*, never on chunk contents: a warehouse
@@ -24,7 +38,7 @@ through :meth:`on_evict_many`, like any other eviction.  See
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,50 +47,45 @@ from repro.util.errors import ReproError
 
 Key = tuple[Level, int]
 
+_Path = tuple[int, tuple[int, ...]]
+
 
 class CountStore:
-    """The ``Count`` array family plus its maintenance algorithms.
+    """The ``Count`` array family plus its maintenance wave.
 
     One ``int32`` entry per chunk per group-by level (the paper's space
     accounting assumes 1 byte; we report bytes separately and use int32 in
     memory for safety).
     """
 
-    batch_crossover: int = 32
-    """Waves smaller than this run the scalar recursive cascades inline
-    (one lock hold for the whole wave) instead of the vectorised
-    per-level passes: the wave machinery's per-level array setup only
-    pays for itself once enough keys amortise it, mirroring
-    ``rollup_many``'s dense/sparse kernel switch.  Both paths leave
-    identical state; set to 0 to force the vectorised path."""
-
     def __init__(self, schema: CubeSchema) -> None:
         self.schema = schema
+        self._keys: list[Key] = []
+        """Every chunk in one flat index: level blocks, chunk numbers
+        within.  The wave works on flat indices; the per-level arrays
+        are views of the flat one."""
+        self._offset: dict[Level, int] = {}
+        for level in schema.all_levels():
+            self._offset[level] = len(self._keys)
+            self._keys.extend((level, n) for n in range(schema.num_chunks(level)))
+        self._flat = np.zeros(len(self._keys), dtype=np.int32)
         self._counts: dict[Level, np.ndarray] = {
-            level: np.zeros(schema.num_chunks(level), dtype=np.int32)
-            for level in schema.all_levels()
+            level: self._flat[start : start + schema.num_chunks(level)]
+            for level, start in self._offset.items()
         }
+        self._paths: list[tuple[_Path, ...] | None] = [None] * len(self._keys)
+        """Per chunk, one ``(child, path chunks)`` per child level: the
+        child's parent path through this chunk's level, as flat
+        indices."""
+        self._depth = sum(schema.base_level)
+        """Component sum of the base level; a lattice edge lowers it by
+        one, down to the apex's 0."""
         self.total_updates = 0
-        """Lifetime number of individual count modifications."""
-        self._propagation: dict[
-            Level, dict[int, list[tuple[Level, int, np.ndarray]]]
-        ] = {level: {} for level in schema.all_levels()}
-        self._topo_levels: tuple[Level, ...] = tuple(
-            sorted(schema.all_levels(), key=lambda l: (-sum(l), l))
-        )
-        """All levels, most detailed first — the BFS order a wave walks:
-        every cascade step moves strictly towards more aggregated levels
-        (smaller component sums), so by the time a level is processed its
-        pending delta is final."""
-        self._reduce_firsts: dict[tuple[Level, Level], list[np.ndarray]] = {}
-        """Memoised per-(parent level, child level) reduceat boundaries —
-        per dimension, the first parent chunk index covering each child
-        chunk coordinate (from ``child_chunk_spans``)."""
+        """Lifetime sum of ``|Δcount|`` over all waves."""
         self._lock = threading.Lock()
-        """Serialises maintenance cascades: two concurrent on_insert /
-        on_evict calls would otherwise interleave their recursive updates
-        and corrupt the counts.  Reads stay lock-free — single array-cell
-        loads that are safe against a concurrent (locked) writer."""
+        """Serialises maintenance waves.  Reads stay lock-free — single
+        array-cell loads that are safe against a concurrent (locked)
+        writer."""
 
     # ------------------------------------------------------------------ #
     # queries
@@ -90,237 +99,112 @@ class CountStore:
 
     def num_entries(self) -> int:
         """Total count entries — one per chunk over all levels."""
-        return sum(arr.size for arr in self._counts.values())
+        return int(self._flat.size)
 
     def counts_array(self, level: Level) -> np.ndarray:
-        """Read-only view of one level's counts (diagnostics/tests)."""
+        """One level's counts (VCM's find, diagnostics, tests)."""
         return self._counts[level]
 
     # ------------------------------------------------------------------ #
     # maintenance
 
     def on_insert(self, level: Level, number: int) -> int:
-        """A chunk entered the cache.  Returns count modifications made."""
+        """A chunk entered the cache.  Returns the count change charged."""
         return self.on_insert_many([(level, number)])
 
     def on_evict(self, level: Level, number: int) -> int:
-        """A chunk left the cache.  Returns count modifications made."""
+        """A chunk left the cache.  Returns the count change charged."""
         return self.on_evict_many([(level, number)])
 
     def on_insert_many(self, keys: Sequence[Key]) -> int:
-        """A wave of chunks entered the cache.
-
-        Propagates the whole wave with one vectorised pass per lattice
-        level (in BFS order towards the apex) instead of one recursive
-        cascade per chunk.  The resulting count state is identical to
-        applying the scalar cascades one key at a time, and the returned
-        modification count matches their sum.  Waves below
-        ``batch_crossover`` keys skip the vectorised machinery and run
-        the scalar cascades under the single lock hold instead — the
-        adaptive crossover that keeps small admission waves (the common
-        per-query case) at least as fast as the per-chunk loop.
-        """
+        """A wave of chunks entered the cache.  Returns the wave's charge:
+        the sum of ``|Δcount|`` over every chunk."""
         with self._lock:
-            before = self.total_updates
-            if len(keys) < self.batch_crossover:
-                for level, number in keys:
-                    self._insert_update(level, number)
-            else:
-                self._wave_update(keys, +1)
-            return self.total_updates - before
+            return self._settle(keys, +1)
 
     def on_evict_many(self, keys: Sequence[Key]) -> int:
-        """A wave of chunks left the cache (mirror of ``on_insert_many``)."""
+        """A wave of chunks left the cache (mirror of ``on_insert_many``).
+        Raises before changing anything if a chunk would owe more counts
+        than it holds."""
         with self._lock:
-            before = self.total_updates
-            if len(keys) < self.batch_crossover:
-                # Mirror the vectorised path's precondition: validate every
-                # direct key before mutating any state, so a bad wave
-                # raises without leaving a partially applied cascade.
-                owed: dict[Level, dict[int, int]] = {}
-                for level, number in keys:
-                    per = owed.setdefault(level, {})
-                    per[number] = per.get(number, 0) + 1
-                for level, per in owed.items():
-                    counts = self._counts[level]
-                    for number, debt in per.items():
-                        if counts[number] < debt:
-                            raise ReproError(
-                                f"count underflow at level {level} chunk "
-                                f"{number}: evicting a chunk that was never "
-                                "counted"
-                            )
-                for level, number in keys:
-                    self._evict_update(level, number)
-            else:
-                self._wave_update(keys, -1)
-            return self.total_updates - before
-
-    def scalar_on_insert(self, level: Level, number: int) -> int:
-        """Reference per-chunk recursive cascade (the paper's
-        ``VCM_InsertUpdateCount``) — the oracle the batched wave is
-        property-tested against, and the per-chunk side of the
-        ``update`` benchmark."""
-        with self._lock:
-            before = self.total_updates
-            self._insert_update(level, number)
-            return self.total_updates - before
-
-    def scalar_on_evict(self, level: Level, number: int) -> int:
-        """Reference per-chunk eviction cascade (see ``scalar_on_insert``)."""
-        with self._lock:
-            before = self.total_updates
-            self._evict_update(level, number)
-            return self.total_updates - before
-
-    def _propagation_entries(
-        self, level: Level, number: int
-    ) -> list[tuple[Level, int, np.ndarray]]:
-        """Memoised ``(child_level, child_number, sibling numbers)`` triples
-        — the chunks whose parent-path status this chunk participates in."""
-        per_level = self._propagation[level]
-        entries = per_level.get(number)
-        if entries is None:
-            entries = []
-            for child_level in self.schema.children_of(level):
-                child_number = self.schema.get_child_chunk_number(
-                    level, number, child_level
-                )
-                siblings = self.schema.get_parent_chunk_numbers(
-                    child_level, child_number, level
-                )
-                entries.append((child_level, child_number, siblings))
-            per_level[number] = entries
-        return entries
-
-    def _insert_update(self, level: Level, number: int) -> None:
-        counts = self._counts[level]
-        counts[number] += 1
-        self.total_updates += 1
-        if counts[number] > 1:
-            # Was already computable: children's parent-path status via this
-            # level is unchanged, so the update stops here (paper, §4.1).
-            return
-        for child_level, child_number, siblings in self._propagation_entries(
-            level, number
-        ):
-            if np.all(counts[siblings] > 0):
-                # The path from child via this level just became successful.
-                self._insert_update(child_level, child_number)
-
-    def _evict_update(self, level: Level, number: int) -> None:
-        counts = self._counts[level]
-        if counts[number] <= 0:
-            raise ReproError(
-                f"count underflow at level {level} chunk {number}: evicting "
-                "a chunk that was never counted"
-            )
-        counts[number] -= 1
-        self.total_updates += 1
-        if counts[number] > 0:
-            # Still computable some other way: children unaffected.
-            return
-        for child_level, child_number, siblings in self._propagation_entries(
-            level, number
-        ):
-            # The path via this level was previously successful iff every
-            # sibling was computable; this chunk itself was (it just dropped
-            # to zero), so check the others.
-            sibling_counts = counts[siblings]
-            ok = np.all((sibling_counts > 0) | (siblings == number))
-            if ok:
-                self._evict_update(child_level, child_number)
+            return self._settle(keys, -1)
 
     # ------------------------------------------------------------------ #
-    # batched wave propagation
+    # internals
 
-    def _wave_update(self, keys: Iterable[Key], sign: int) -> None:
-        """Apply one single-sign wave of direct insertions/evictions.
+    def _settle(self, keys: Sequence[Key], sign: int) -> int:
+        """One single-sign wave: direct deltas, then one lattice-order
+        pass applying each chunk's net delta once.
 
-        ``pending[level]`` accumulates the ±1 deltas owed to each chunk of
-        a level — the direct keys plus every parent-path gain/loss
-        discovered while walking more detailed levels.  Because cascades
-        only ever move towards more aggregated levels, one pass over
-        ``_topo_levels`` settles everything.
+        ``pending[sum(level)]`` maps flat indices to the delta owed — the
+        direct keys plus every path gained or lost at the more detailed
+        levels already walked.
         """
-        per_level: dict[Level, list[int]] = {}
+        counts = self._flat
+        pending: list[dict[int, int]] = [{} for _ in range(self._depth + 1)]
         for level, number in keys:
-            per_level.setdefault(level, []).append(number)
-        if not per_level:
-            return
-        pending: dict[Level, np.ndarray] = {}
-        for level, numbers in per_level.items():
-            delta = np.zeros(self._counts[level].size, dtype=np.int32)
-            np.add.at(delta, numbers, sign)
-            pending[level] = delta
+            owed = pending[sum(level)]
+            chunk = self._offset[level] + number
+            owed[chunk] = owed.get(chunk, 0) + sign
         if sign < 0:
-            # Mirror the scalar precondition check before touching state:
-            # every directly evicted chunk must currently hold the counts
-            # it is about to give back.
-            for level, delta in pending.items():
-                short = np.flatnonzero(self._counts[level] + delta < 0)
-                if short.size:
-                    raise ReproError(
-                        f"count underflow at level {level} chunk "
-                        f"{int(short[0])}: evicting a chunk that was never "
-                        "counted"
-                    )
-        for level in self._topo_levels:
-            delta = pending.get(level)
-            if delta is None or not delta.any():
+            for owed in pending:
+                for chunk, delta in owed.items():
+                    if counts.item(chunk) + delta < 0:
+                        level, number = self._keys[chunk]
+                        raise ReproError(
+                            f"count underflow at level {level} chunk "
+                            f"{number}: evicting a chunk that was never "
+                            "counted"
+                        )
+        updates = 0
+        for level_sum in range(self._depth, -1, -1):
+            flipped: list[int] = []
+            for chunk, delta in pending[level_sum].items():
+                old = counts.item(chunk)
+                counts[chunk] = old + delta
+                updates += abs(delta)
+                if (old > 0) != (old + delta > 0):
+                    flipped.append(chunk)
+            if not flipped or not level_sum:
                 continue
-            counts = self._counts[level]
-            if sign < 0 and np.any(counts + delta < 0):
-                raise ReproError(
-                    f"count underflow during eviction wave at level {level}"
-                )
-            before_pos = counts > 0
-            counts += delta
-            self.total_updates += int(np.abs(delta).sum())
-            after_pos = counts > 0
-            if not np.any(before_pos != after_pos):
-                # No computability flips: no parent path changed status.
-                continue
-            for child_level in self.schema.children_of(level):
-                all_before = self._sibling_all(level, child_level, before_pos)
-                all_after = self._sibling_all(level, child_level, after_pos)
-                if sign > 0:
-                    # Paths via this level that just became successful.
-                    flipped = all_after & ~all_before
-                else:
-                    # Paths that were successful and no longer are.
-                    flipped = all_before & ~all_after
-                if not flipped.any():
-                    continue
-                child_delta = pending.get(child_level)
-                if child_delta is None:
-                    child_delta = np.zeros(
-                        self._counts[child_level].size, dtype=np.int32
-                    )
-                    pending[child_level] = child_delta
-                child_delta[flipped] += sign
+            children = pending[level_sum - 1]
+            # A path of several chunks is keyed by its child and its first
+            # chunk (one path per child and parent level), so it is
+            # examined once however many of its chunks flipped.
+            shared: dict[tuple[int, int], tuple[int, ...]] = {}
+            for chunk in flipped:
+                for child, members in self._chunk_paths(chunk):
+                    if len(members) == 1:
+                        # A one-chunk path flips with its chunk.
+                        children[child] = children.get(child, 0) + sign
+                    else:
+                        shared[child, members[0]] = members
+            was = set(flipped) if sign < 0 else ()
+            for (child, _), members in shared.items():
+                if all(counts.item(m) > 0 or m in was for m in members):
+                    children[child] = children.get(child, 0) + sign
+        self.total_updates += updates
+        return updates
 
-    def _sibling_all(
-        self, level: Level, child_level: Level, flags: np.ndarray
-    ) -> np.ndarray:
-        """For every chunk of ``child_level``: are ALL covering ``level``
-        chunks ``True`` in ``flags``?  One ``logical_and.reduceat`` per
-        dimension over the row-major chunk grid — the vectorised form of
-        the scalar cascade's per-child sibling scan."""
-        key = (level, child_level)
-        firsts_per_dim = self._reduce_firsts.get(key)
-        if firsts_per_dim is None:
-            spans = self.schema.chunks.child_chunk_spans(child_level, level)
-            firsts_per_dim = [
-                np.fromiter(
-                    (first for first, _ in per_coord),
-                    dtype=np.intp,
-                    count=len(per_coord),
-                )
-                for per_coord in spans
-            ]
-            self._reduce_firsts[key] = firsts_per_dim
-        grid = flags.reshape(self.schema.chunks.chunk_shape(level))
-        for axis, firsts in enumerate(firsts_per_dim):
-            grid = np.logical_and.reduceat(grid, firsts, axis=axis)
-        return grid.ravel()
+    def _chunk_paths(self, chunk: int) -> tuple[_Path, ...]:
+        """Memoised ``(child, path chunks)`` per child level of a chunk.
+        The first call for a level fills in all its chunks, each path's
+        chunk tuple shared by every chunk on it."""
+        paths = self._paths[chunk]
+        if paths is None:
+            level = self._keys[chunk][0]
+            start = self._offset[level]
+            numbers = range(self.schema.num_chunks(level))
+            columns = []
+            for child_level in self.schema.children_of(level):
+                table = self.schema.chunks.child_chunk_table(level, child_level)
+                children = (self._offset[child_level] + table).tolist()
+                members: dict[int, list[int]] = {}
+                for n, child in zip(numbers, children):
+                    members.setdefault(child, []).append(start + n)
+                shared = {child: tuple(m) for child, m in members.items()}
+                columns.append([(child, shared[child]) for child in children])
+            for n, built in zip(numbers, zip(*columns)):
+                self._paths[start + n] = built
+            paths = self._paths[chunk]
+        return paths

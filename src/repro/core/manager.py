@@ -217,12 +217,16 @@ class AggregateCache:
         the backend anyway.  Off by default (matching the paper's
         experiments, which always aggregate when possible).
     plan_cache:
-        Attach a generation-stamped :class:`~repro.core.plans.PlanCache`
-        to the strategy (on by default): repeated lookups over lattice
-        regions with no intervening relevant cache movement reuse their
-        memoised plan/verdict instead of re-walking the lattice.  Plans
-        stay exactly as correct as fresh ones — any insert or evict in a
-        chunk region that could affect a memoised answer invalidates it.
+        Build a generation-stamped :class:`~repro.core.plans.PlanCache`
+        (on by default) and put it in front of a strategy whose ``find``
+        walks the lattice (ESM, ESMC: ``memoise_find``): repeated lookups
+        over lattice regions with no intervening relevant cache movement
+        reuse their memoised plan/verdict instead of re-walking the
+        lattice.  Plans stay exactly as correct as fresh ones — any
+        insert or evict in a chunk region that could affect a memoised
+        answer invalidates it.  VCM, VCMC and noagg answer from O(1)
+        reads and get no memo; :attr:`plan_cache` still holds the
+        (unused) instance so its ``stats()`` answer for every strategy.
         Pass a ready :class:`PlanCache` instance to control its region
         granularity (``max_regions_per_level=1`` reproduces the legacy
         per-level invalidation).
@@ -294,9 +298,9 @@ class AggregateCache:
         self.plan_cache: PlanCache | None = self.strategy.plan_cache
         if isinstance(plan_cache, PlanCache):
             self.plan_cache = plan_cache
-            self.strategy.plan_cache = plan_cache
         elif plan_cache and self.plan_cache is None:
             self.plan_cache = PlanCache(schema)
+        if self.strategy.memoise_find:
             self.strategy.plan_cache = self.plan_cache
         self.use_cost_optimizer = use_cost_optimizer
         self.optimizer_redirects = 0
@@ -339,7 +343,7 @@ class AggregateCache:
         chunks = self.backend.compute_level(level)
         for chunk in chunks:
             chunk.origin = ChunkOrigin.PRELOAD
-            self._insert(chunk, benefit=chunk.compute_cost)
+        self._admit_wave(chunks)
         return level
 
     def preload_levels(self, levels: list[Level]) -> list[Level]:
@@ -352,12 +356,14 @@ class AggregateCache:
         can report a level complete that no longer is.
         """
         numbers_of: dict[Level, list[int]] = {}
+        chunks: list[Chunk] = []
         for level in levels:
             numbers = numbers_of.setdefault(level, [])
             for chunk in self.backend.compute_level(level):
                 chunk.origin = ChunkOrigin.PRELOAD
-                self._insert(chunk, benefit=chunk.compute_cost)
+                chunks.append(chunk)
                 numbers.append(chunk.number)
+        self._admit_wave(chunks)
         loaded = [
             level
             for level, numbers in numbers_of.items()
@@ -419,6 +425,7 @@ class AggregateCache:
         # fresh read-lock hold.  A writer may have squeezed in since phase
         # 1, so every materialisation revalidates its plan (_materialise).
         with self._rw.read_locked(), span(obs, "aggregate") as aggregate_span:
+            generation = self.backend.refresh_generation
             missing = self._gather(level, plans, gathered)
         breakdown.aggregate_ms = aggregate_span.elapsed_ms
         any_missing = bool(missing)
@@ -499,9 +506,15 @@ class AggregateCache:
                     for leaf_keys, benefit in gathered.reinforcements:
                         _, skipped = self.cache.reinforce(leaf_keys, benefit)
                         reinforcements_skipped += skipped
-                    state_updates = self._admit_wave(
-                        gathered.computed + led_chunks
-                    )
+                    admitted = gathered.computed + led_chunks
+                    if self.backend.refresh_generation != generation:
+                        # A refresh landed after phase 2 read the cache:
+                        # these chunks may predate its patch wave, and
+                        # admitting them would put an old generation
+                        # beside patched residents.  This query's answer
+                        # is still one generation's, chunk by chunk.
+                        admitted = []
+                    state_updates = self._admit_wave(admitted)
                 breakdown.update_ms = update_span.elapsed_ms
                 if led_keys:
                     self.flights.release(led_keys)
@@ -509,7 +522,8 @@ class AggregateCache:
                 self.optimizer_redirects += redirects
                 self.queries_run += 1
                 complete_hit = not estimated and (
-                    not any_missing or (degraded and not unanswered)
+                    not any_missing
+                    or (degraded and not unanswered and from_backend == 0)
                 )
                 if complete_hit:
                     self.complete_hits += 1
@@ -922,10 +936,10 @@ class AggregateCache:
             self.strategy.on_evict_many(
                 [chunk.key for chunk in evicted_chunks]
             )
-        if self.plan_cache is not None:
+        if self.strategy.plan_cache is not None:
             # Contents changed in exactly these regions; memos elsewhere
             # stay valid — no global invalidation storm.
-            self.plan_cache.bump([key for key, _ in replacements])
+            self.strategy.plan_cache.bump([key for key, _ in replacements])
         return len(replacements), len(evicted_chunks)
 
     def range_query(
@@ -1048,8 +1062,8 @@ class AggregateCache:
         )[0]
 
     def _admit_wave(self, chunks: list[Chunk]) -> int:
-        """Admit an aggregation/fetch wave: one batched cache admission,
-        then one batched count/cost cascade per movement direction.
+        """Admit an aggregation/fetch (or preload) wave: one batched cache
+        admission, then one count/cost wave per movement direction.
 
         The strategy sees the wave's NET movements: a chunk admitted and
         then displaced by a later admission of the same wave never
@@ -1161,10 +1175,7 @@ class AggregateCache:
         counts = getattr(self.strategy, "counts", None)
         if isinstance(counts, CountStore):
             rebuilt = CountStore(self.schema)
-            # One key at a time: singleton waves run the scalar cascades,
-            # so the rebuild does not share the batched path it checks.
-            for level, number in resident:
-                rebuilt.on_insert(level, number)
+            rebuilt.on_insert_many(resident)
             for level in self.schema.all_levels():
                 if not np.array_equal(
                     counts.counts_array(level), rebuilt.counts_array(level)

@@ -52,6 +52,10 @@ class LookupStrategy(abc.ABC):
     name: ClassVar[str]
     cost_based: ClassVar[bool] = False
     maintains_state: ClassVar[bool] = False
+    memoise_find: ClassVar[bool] = False
+    """Whether ``find`` walks the lattice, so that a manager puts its
+    :class:`PlanCache` in front of it.  The maintained-state strategies
+    answer from O(1) array reads and never pay for the memo."""
 
     def __init__(
         self,
@@ -69,8 +73,9 @@ class LookupStrategy(abc.ABC):
         self.plan_cache: PlanCache | None = None
         """Optional generation-stamped memo of ``find`` results.  ``None``
         (the default for bare strategies — keeps the paper's measured
-        visit counts exact) means every ``find`` walks the lattice; the
-        manager attaches a shared :class:`PlanCache` instance."""
+        visit counts exact) means every ``find`` walks the lattice; a
+        manager attaches its :class:`PlanCache` when
+        :attr:`memoise_find` is set."""
         self.total_visits = 0
         """Lifetime recursive lookup visits (complexity instrumentation)."""
         self.last_find_visits = 0

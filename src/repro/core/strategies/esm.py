@@ -24,6 +24,7 @@ class ESMStrategy(LookupStrategy):
     """First-successful-path exhaustive search."""
 
     name: ClassVar[str] = "esm"
+    memoise_find: ClassVar[bool] = True
 
     def _find(self, level: Level, number: int) -> PlanNode | None:
         self._visit()

@@ -22,6 +22,7 @@ class ESMCStrategy(LookupStrategy):
 
     name: ClassVar[str] = "esmc"
     cost_based: ClassVar[bool] = True
+    memoise_find: ClassVar[bool] = True
 
     def _find(self, level: Level, number: int) -> PlanNode | None:
         plan, _ = self._find_best(level, number)

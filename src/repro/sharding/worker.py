@@ -29,8 +29,6 @@ from repro.approx.contract import decode_contract
 from repro.backend.cost_model import CostModel
 from repro.backend.engine import BackendDatabase
 from repro.backend.resilient import ResilientBackend
-from repro.cache.preload import choose_preload_level
-from repro.chunks.chunk import ChunkOrigin
 from repro.core.manager import AggregateCache
 from repro.core.sizes import SizeEstimator
 from repro.schema.cube import CubeSchema
@@ -97,15 +95,24 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         spec.capacity_bytes,
         strategy=spec.strategy,
         policy=spec.policy,
-        preload=False,
+        # The preload is a *replicated summary tier*: the level chosen
+        # against this worker's own budget, loaded in full on every
+        # shard.  Partitioning it by ownership would gut the paper's
+        # central mechanism — a shard owning a coarse chunk could not
+        # aggregate it from finer chunks living on its siblings, so every
+        # such miss would become a backend scan.  Only the cached
+        # *computed* chunks are partitioned (each shard accumulates the
+        # chunks it serves).  At N=1 the per-shard budget is the fleet
+        # budget, so the whole cache state matches the single-process
+        # manager's (the one-shard identity gate).
+        preload=spec.preload,
+        preload_headroom=spec.preload_headroom,
         visit_budget=spec.visit_budget,
         sizes=spec.sizes,
         degraded_mode=spec.degraded_mode,
         approx=spec.approx_fraction,
         approx_seed=spec.approx_seed,
     )
-    if spec.preload:
-        _preload_owned(manager, spec)
     adaptive = None
     if spec.adaptive:
         # The precompute budget is naturally per-shard: the fraction
@@ -113,38 +120,6 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         # divided by N), and its tracker sees only queries routed here.
         adaptive = AdaptivePrecomputer(manager)
     return ConcurrentAggregateCache(manager, adaptive=adaptive)
-
-
-def _preload_owned(manager: AggregateCache, spec: WorkerSpec) -> None:
-    """The sharded counterpart of :meth:`AggregateCache.preload`:
-    a *replicated summary tier*.
-
-    The preload level is chosen against this worker's own budget and
-    loaded **in full** — every shard holds the same (coarser) level.
-    Partitioning it by ownership instead would gut the paper's central
-    mechanism: a shard owning a coarse chunk cannot aggregate it from
-    finer chunks that live on its siblings, so every such miss becomes a
-    backend scan.  Replicating a level that fits 1/N of the fleet budget
-    keeps cross-level aggregation local to every shard; only the cached
-    *computed* chunks are partitioned (by serving them, each shard
-    naturally accumulates exactly the chunks it owns).
-
-    At N=1 the per-shard budget *is* the fleet budget, so the level —
-    and with it the whole cache state — matches the single-process
-    manager's preload exactly (the one-shard identity gate).
-    """
-    level = choose_preload_level(
-        spec.schema,
-        manager.sizes,
-        spec.capacity_bytes,
-        headroom=spec.preload_headroom,
-    )
-    if level is None:
-        return
-    for chunk in manager.backend.compute_level(level):
-        chunk.origin = ChunkOrigin.PRELOAD
-        manager._insert(chunk, benefit=chunk.compute_cost)
-    manager.preloaded_level = level
 
 
 def shard_stats(service: ConcurrentAggregateCache) -> dict:

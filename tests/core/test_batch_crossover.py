@@ -1,13 +1,11 @@
-"""The adaptive scalar/batched crossover in the count store.
+"""Wave size does not change what a maintenance wave leaves behind.
 
-``CountStore.on_insert_many``/``on_evict_many`` route waves below
-``batch_crossover`` through the scalar cascades (one lock hold, no
-per-level array setup) and larger waves through the vectorised wave
-machinery.  Both paths are the same function semantically; these tests
-pin that — state, update charges and failure behaviour must not depend
-on which side of the threshold a wave lands.  The cost store has a
-single wave path; the same wave sizes pin its state against the oracle
-and the one-wave rebuild."""
+Both stores settle any wave, one key or hundreds, with one exact
+lattice-order pass.  The sizes below straddle 32 keys, where the count
+store used to switch from per-key recursive cascades to a vectorised
+pass: state, update charges and failure behaviour are pinned against the
+reference cascade, the definition's oracle and the one-wave rebuild
+whatever side of that line a wave lands."""
 
 from __future__ import annotations
 
@@ -20,7 +18,12 @@ from repro.core.counts import CountStore
 from repro.core.sizes import SizeEstimator
 from repro.schema import apb_tiny_schema
 from repro.util.errors import ReproError
-from tests.helpers import IntegerSizes, assert_cost_state_exact
+from tests.helpers import (
+    CascadeCounts,
+    IntegerSizes,
+    assert_cost_state_exact,
+    assert_count_state_exact,
+)
 
 SCHEMA = apb_tiny_schema()
 
@@ -35,30 +38,26 @@ def _wave(size: int):
     return keys[:size]
 
 
-def _fresh_stores():
-    sizes = SizeEstimator(SCHEMA, total_base_tuples=500)
-    return CountStore(SCHEMA), CostStore(SCHEMA, sizes)
-
-
 @pytest.mark.parametrize("size", [1, 4, 31, 32, 40])
 def test_crossover_sides_leave_identical_count_state(size):
-    """The same wave through the scalar route (crossover above) and the
-    vectorised route (crossover 0) ends in the same counts and charges
-    the same number of updates."""
+    """The same keys as one wave and through the reference cascade one
+    key at a time end in the same counts and charge the same number of
+    updates, through insertion, a partial and a full eviction."""
     keys = _wave(size)
-    small, _ = _fresh_stores()
-    large, _ = _fresh_stores()
-    small.batch_crossover = len(keys) + 1  # scalar path
-    large.batch_crossover = 0  # vectorised path
-    assert small.on_insert_many(keys) == large.on_insert_many(keys)
-    for level in SCHEMA.all_levels():
-        assert np.array_equal(
-            small.counts_array(level), large.counts_array(level)
-        )
-    assert small.on_evict_many(keys) == large.on_evict_many(keys)
-    for level in SCHEMA.all_levels():
-        assert not small.counts_array(level).any()
-        assert not large.counts_array(level).any()
+    store = CountStore(SCHEMA)
+    reference = CascadeCounts(SCHEMA)
+    half = size // 2
+    steps = (
+        (store.on_insert_many, reference.insert, keys),
+        (store.on_evict_many, reference.evict, keys[:half]),
+        (store.on_evict_many, reference.evict, keys[half:]),
+    )
+    resident: set = set()
+    for wave, cascade, part in steps:
+        assert wave(part) == sum(cascade(*key) for key in part)
+        resident.symmetric_difference_update(part)
+        assert_count_state_exact(store, resident, reference=reference)
+    assert not resident
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 40])
@@ -76,16 +75,9 @@ def test_crossover_sides_leave_identical_cost_state(size):
     assert_cost_state_exact(store, set())
 
 
-def test_default_crossover_routes_small_waves_scalar():
-    """The default threshold (32) is what the admission path relies on:
-    a per-query wave of a few chunks takes the scalar route."""
-    store = CountStore(SCHEMA)
-    assert store.batch_crossover == 32
-
-
 def test_scalar_evict_path_validates_before_mutating():
-    """The small-wave eviction mirrors the vectorised precondition: a
-    bad wave raises WITHOUT applying any of its cascades."""
+    """An eviction wave checks every chunk's debt first: a bad wave
+    raises WITHOUT applying any of its deltas."""
     store = CountStore(SCHEMA)
     base = SCHEMA.base_level
     store.on_insert_many([(base, 0)])

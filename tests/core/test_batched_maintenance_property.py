@@ -1,12 +1,13 @@
 """Property suite: maintenance waves leave exact, order-independent state.
 
 For counts, ``on_insert_many`` / ``on_evict_many`` replace N recursive
-per-chunk cascades with one vectorised pass per lattice level — an
-optimisation that must be *invisible*: after any interleaving of insert
-and evict waves, a store driven by batched waves holds exactly the state
-of a store driven by the scalar reference cascades (``scalar_on_insert``
-/ ``scalar_on_evict``) one key at a time, and charges the same number of
-updates (the paper's Table 2 metric).
+per-chunk cascades with one lattice-order pass — an optimisation that
+must be *invisible*: after every wave of any interleaving of insert and
+evict waves, the store holds the definition's counts (``oracle_counts``),
+exactly the state of the paper's recursive cascade driven one key at a
+time (``CascadeCounts``) and of a store rebuilt from the resident set in
+one wave, and it charges the cascade's number of updates (the paper's
+Table 2 metric).
 
 Costs have one wave path.  After every wave the ``Cost`` array equals the
 brute-force least cost (``oracle_min_cost`` over integer sizes, so exact
@@ -25,7 +26,12 @@ from hypothesis import strategies as st
 from repro.core.costs import CostStore
 from repro.core.counts import CountStore
 from repro.schema import apb_tiny_schema
-from tests.helpers import IntegerSizes, assert_cost_state_exact
+from tests.helpers import (
+    CascadeCounts,
+    IntegerSizes,
+    assert_cost_state_exact,
+    assert_count_state_exact,
+)
 
 SCHEMA = apb_tiny_schema()
 ALL_KEYS = [
@@ -72,10 +78,8 @@ def wave_schedules(draw):
     return schedule
 
 
-def apply_scalar(store, op: str, keys) -> int:
-    method = (
-        store.scalar_on_insert if op == "insert" else store.scalar_on_evict
-    )
+def apply_scalar(reference: CascadeCounts, op: str, keys) -> int:
+    method = reference.insert if op == "insert" else reference.evict
     return sum(method(level, number) for level, number in keys)
 
 
@@ -84,31 +88,30 @@ def apply_wave(store, op: str, keys) -> int:
     return method(keys)
 
 
-def apply_batched(store, op: str, keys) -> int:
-    # Force the vectorised wave path regardless of wave size: the oracle
-    # comparison must exercise the batched machinery, not the scalar
-    # small-wave shortcut the crossover would take for these tiny waves
-    # (the crossover itself is covered by test_batch_crossover.py).
-    store.batch_crossover = 0
-    return apply_wave(store, op, keys)
+def track(resident: set, op: str, keys) -> None:
+    if op == "insert":
+        resident.update(keys)
+    else:
+        resident.difference_update(keys)
 
 
 @settings(max_examples=80, deadline=None)
 @given(schedule=wave_schedules())
 def test_batched_count_waves_equal_scalar_cascades(schedule):
-    scalar = CountStore(SCHEMA)
+    scalar = CascadeCounts(SCHEMA)
     batched = CountStore(SCHEMA)
+    resident: set = set()
+    total = 0
     for op, keys in schedule:
         scalar_updates = apply_scalar(scalar, op, keys)
-        batched_updates = apply_batched(batched, op, keys)
+        batched_updates = apply_wave(batched, op, keys)
+        total += scalar_updates
         assert batched_updates == scalar_updates, (
             f"update charge diverged on {op} wave {keys}"
         )
-        for level in SCHEMA.all_levels():
-            assert np.array_equal(
-                scalar.counts_array(level), batched.counts_array(level)
-            ), f"counts diverged at level {level} after {op} wave {keys}"
-    assert batched.total_updates == scalar.total_updates
+        track(resident, op, keys)
+        assert_count_state_exact(batched, resident, reference=scalar)
+    assert batched.total_updates == total
 
 
 def cost_state(store: CostStore) -> dict:
@@ -125,10 +128,7 @@ def test_cost_waves_equal_oracle_and_rebuild(schedule):
     resident: set = set()
     for op, keys in schedule:
         apply_wave(store, op, keys)
-        if op == "insert":
-            resident.update(keys)
-        else:
-            resident.difference_update(keys)
+        track(resident, op, keys)
         assert_cost_state_exact(store, resident)
 
 
@@ -157,19 +157,11 @@ def test_cost_wave_charges_each_changed_chunk_once(schedule):
 @given(schedule=wave_schedules())
 def test_batched_waves_equal_rebuild_from_resident_set(schedule):
     """Order independence, the stronger form: after any schedule the
-    batched store equals a store rebuilt from the final resident set in
-    one insertion wave."""
+    store equals a store rebuilt from the final resident set in one
+    insertion wave, and the definition's counts."""
     store = CountStore(SCHEMA)
     resident: set = set()
     for op, keys in schedule:
-        apply_batched(store, op, keys)
-        if op == "insert":
-            resident.update(keys)
-        else:
-            resident.difference_update(keys)
-    rebuilt = CountStore(SCHEMA)
-    rebuilt.on_insert_many(sorted(resident))
-    for level in SCHEMA.all_levels():
-        assert np.array_equal(
-            store.counts_array(level), rebuilt.counts_array(level)
-        )
+        apply_wave(store, op, keys)
+        track(resident, op, keys)
+    assert_count_state_exact(store, resident)

@@ -26,7 +26,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.store import ChunkCache
 from repro.core.plans import PlanCache, PlanNode, PlanOutcome
 from repro.core.sizes import SizeEstimator
-from repro.core.strategies import make_strategy
+from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.schema import apb_tiny_schema
 
 
@@ -276,7 +276,7 @@ def test_bare_strategy_visit_counts_unchanged(schema):
 def make_manager(tiny_schema, tiny_facts, obs=None, **kwargs):
     backend = BackendDatabase(tiny_schema, tiny_facts, CostModel())
     kwargs.setdefault("capacity_bytes", 1 << 20)
-    kwargs.setdefault("strategy", "vcmc")
+    kwargs.setdefault("strategy", "esm")
     kwargs.setdefault("policy", "benefit")
     kwargs.setdefault("preload", False)
     if obs is not None:
@@ -288,6 +288,29 @@ def test_manager_attaches_shared_plan_cache(tiny_schema, tiny_facts):
     manager = make_manager(tiny_schema, tiny_facts)
     assert manager.plan_cache is not None
     assert manager.strategy.plan_cache is manager.plan_cache
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_memo_attached_only_where_find_walks_the_lattice(
+    tiny_schema, tiny_facts, strategy
+):
+    """ESM and ESMC get the memo; the O(1) strategies never consult it,
+    yet ``plan_cache.stats()`` answers for every strategy."""
+    manager = make_manager(tiny_schema, tiny_facts, strategy=strategy)
+    walks = strategy in ("esm", "esmc")
+    assert manager.strategy.memoise_find is walks
+    assert isinstance(manager.plan_cache, PlanCache)
+    if walks:
+        assert manager.strategy.plan_cache is manager.plan_cache
+    else:
+        assert manager.strategy.plan_cache is None
+    query = Query.full_level(tiny_schema, tiny_schema.base_level)
+    manager.query(query)
+    manager.query(query)
+    stats = manager.plan_cache.stats()
+    assert (stats["lookups"] > 0) is walks
+    if not walks:
+        assert stats["lookups"] == 0 and stats["regions_bumped"] == 0
 
 
 def test_manager_plan_cache_opt_out(tiny_schema, tiny_facts):

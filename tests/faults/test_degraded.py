@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import AggregateCache, Query
@@ -106,6 +108,67 @@ def test_aggregation_salvage_gives_full_coverage(
     for chunk in result.chunks:
         cells.update(chunk.cell_dict())
     assert cells == pytest.approx(truth)
+    manager.check_invariants()
+
+
+def test_salvaged_query_with_a_shared_chunk_is_not_a_complete_hit(
+    tiny_schema, tiny_backend, monkeypatch
+):
+    """A query whose own led fetch fails and is salvaged from the cache,
+    while another of its chunks arrives through a racing query's
+    successful flight, was served partly by the backend: no complete
+    hit."""
+    manager = make_manager(
+        tiny_schema, tiny_backend, use_cost_optimizer=True
+    )
+    manager.query(Query.full_level(tiny_schema, tiny_schema.base_level))
+    # Every computable chunk is redirected to the backend, so both queries
+    # below miss in phase 1 and the failed one is salvaged by aggregation.
+    monkeypatch.setattr(
+        manager, "_backend_is_cheaper", lambda *args: True
+    )
+    query = Query.full_level(tiny_schema, (1, 1, 0))
+    shared, salvaged = query.chunk_numbers(tiny_schema)[:2]
+    gate = threading.Event()
+    registry = FailpointRegistry(sleep=lambda _s: gate.wait(10))
+    # Call 1 is the racing query's fetch (held at the gate, then
+    # succeeds); call 2 is the measured query's own fetch (fails).
+    registry.delay("backend.fetch", latency_ms=1.0, calls={1})
+    registry.fail("backend.fetch", TransientBackendError, calls={2})
+    results = {}
+
+    def run(name, numbers):
+        results[name] = manager.query(query, numbers=numbers)
+
+    def wait_for(condition):
+        for _ in range(1000):
+            if condition():
+                return
+            threading.Event().wait(0.005)
+        raise AssertionError("the racing queries never reached their step")
+
+    with registry.armed():
+        racer = threading.Thread(target=run, args=("racer", [shared]))
+        racer.start()
+        wait_for(lambda: manager.flights.in_progress() == 1)
+        measured = threading.Thread(
+            target=run, args=("measured", [shared, salvaged])
+        )
+        measured.start()
+        wait_for(lambda: registry.calls("backend.fetch") == 2)
+        gate.set()
+        racer.join(timeout=10)
+        measured.join(timeout=10)
+
+    result = results["measured"]
+    assert result.degraded
+    assert result.unanswered == ()
+    assert result.coverage == 1.0
+    assert result.from_backend == 1
+    assert result.aggregated == 1
+    assert not result.complete_hit
+    assert results["racer"].from_backend == 1
+    assert manager.flights.in_progress() == 0
     manager.check_invariants()
 
 

@@ -78,6 +78,97 @@ def oracle_computable(
     return rec(level, number)
 
 
+def oracle_counts(schema: CubeSchema, cached: set[Key]) -> dict[Level, np.ndarray]:
+    """Reference virtual counts straight from the definition: one if the
+    chunk is cached, plus one per lattice parent all of whose mapped
+    chunks are computable (a positive count).  Levels are filled most
+    detailed first, so every parent level is final when a child reads
+    it."""
+    counts = {
+        level: np.zeros(schema.num_chunks(level), dtype=np.int32)
+        for level in schema.all_levels()
+    }
+    for level in sorted(schema.all_levels(), key=lambda l: -sum(l)):
+        for number in range(schema.num_chunks(level)):
+            count = int((level, number) in cached)
+            for parent in schema.parents_of(level):
+                numbers = schema.get_parent_chunk_numbers(level, number, parent)
+                count += bool(np.all(counts[parent][numbers] > 0))
+            counts[level][number] = count
+    return counts
+
+
+class CascadeCounts:
+    """The paper's recursive per-chunk count cascade
+    (``VCM_InsertUpdateCount`` and its eviction mirror), one key at a
+    time: the reference for a :class:`~repro.core.counts.CountStore`
+    wave's state and for its update charge (one per ±1 step)."""
+
+    def __init__(self, schema: CubeSchema) -> None:
+        self.schema = schema
+        self.counts = {
+            level: np.zeros(schema.num_chunks(level), dtype=np.int32)
+            for level in schema.all_levels()
+        }
+
+    def counts_array(self, level: Level) -> np.ndarray:
+        return self.counts[level]
+
+    def _paths(self, level: Level, number: int):
+        for child_level in self.schema.children_of(level):
+            child = self.schema.get_child_chunk_number(level, number, child_level)
+            siblings = self.schema.get_parent_chunk_numbers(child_level, child, level)
+            yield child_level, child, siblings
+
+    def insert(self, level: Level, number: int) -> int:
+        counts = self.counts[level]
+        counts[number] += 1
+        if counts[number] > 1:
+            # Already computable: no path through this level changes.
+            return 1
+        updates = 1
+        for child_level, child, siblings in self._paths(level, number):
+            if np.all(counts[siblings] > 0):
+                updates += self.insert(child_level, child)
+        return updates
+
+    def evict(self, level: Level, number: int) -> int:
+        counts = self.counts[level]
+        assert counts[number] > 0, f"count underflow at {level}/{number}"
+        counts[number] -= 1
+        if counts[number] > 0:
+            # Still computable some other way: children unaffected.
+            return 1
+        updates = 1
+        for child_level, child, siblings in self._paths(level, number):
+            # The path was successful iff every sibling was computable;
+            # this chunk was (it just dropped to zero).
+            if np.all((counts[siblings] > 0) | (siblings == number)):
+                updates += self.evict(child_level, child)
+        return updates
+
+
+def assert_count_state_exact(store, resident: set[Key], reference=None) -> None:
+    """A :class:`~repro.core.counts.CountStore` holds the definition's
+    counts (:func:`oracle_counts`) for ``resident``, arrays identical to a
+    store rebuilt from ``resident`` in one wave, and — when given — the
+    :class:`CascadeCounts` reference's arrays."""
+    schema = store.schema
+    want = oracle_counts(schema, resident)
+    rebuilt = type(store)(schema)
+    rebuilt.on_insert_many(sorted(resident))
+    for level in schema.all_levels():
+        got = store.counts_array(level)
+        assert np.array_equal(got, want[level]), f"counts at level {level}"
+        assert np.array_equal(got, rebuilt.counts_array(level)), (
+            f"one-wave rebuild differs at level {level}"
+        )
+        if reference is not None:
+            assert np.array_equal(got, reference.counts_array(level)), (
+                f"reference cascade differs at level {level}"
+            )
+
+
 def oracle_min_cost(
     schema: CubeSchema,
     sizes: SizeEstimator,

@@ -6,6 +6,8 @@ arrive; these tests hammer exactly that path.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import (
@@ -15,6 +17,7 @@ from repro import (
     generate_fact_table,
 )
 from repro.schema import apb_tiny_schema
+from repro.faults import FailpointRegistry
 from repro.util.errors import ReproError
 from tests.helpers import direct_aggregate, oracle_computable
 
@@ -216,6 +219,65 @@ def test_delta_refresh_preserves_all_residents():
             got.update(chunk.cell_dict())
         assert got == pytest.approx(truth), level
     assert manager.replans == 0
+
+
+def test_chunks_read_before_a_refresh_are_not_admitted_after_it(world):
+    """A query computes one chunk in the cache and fetches another; a
+    refresh lands while its fetch is in flight.  The computed chunk
+    predates the refresh's patch wave, so admitting it afterwards would
+    leave an old generation resident beside patched chunks."""
+    schema, initial, _, backend = world
+    manager = AggregateCache(
+        schema, backend, capacity_bytes=1 << 30, strategy="vcmc",
+        preload=False,
+    )
+    base = schema.base_level
+    manager.query(Query(base, ((0, 2), (0, 2), (0, 1))))
+    costs = manager.strategy.costs
+    level, computed, missing = next(
+        (level, computable[0], absent[0])
+        for level in schema.all_levels()
+        for computable, absent in [(
+            [n for n in range(schema.num_chunks(level))
+             if costs.is_computable(level, n)
+             and not costs.is_cached(level, n)],
+            [n for n in range(schema.num_chunks(level))
+             if not costs.is_computable(level, n)],
+        )]
+        if computable and absent
+    )
+    gate = threading.Event()
+    registry = FailpointRegistry(sleep=lambda _s: gate.wait(10))
+    registry.delay("backend.fetch", latency_ms=1.0, calls={1})
+    results = []
+    query = Query.full_level(schema, level)
+
+    def run():
+        results.append(manager.query(query, numbers=[computed, missing]))
+
+    with registry.armed():
+        racer = threading.Thread(target=run)
+        racer.start()
+        for _ in range(1000):
+            if registry.calls("backend.fetch") == 1:
+                break
+            threading.Event().wait(0.005)
+        assert registry.calls("backend.fetch") == 1
+        manager.refresh_from_backend(initial)  # every cell doubles
+        gate.set()
+        racer.join(timeout=10)
+    assert not racer.is_alive()
+    assert results[0].aggregated == 1 and results[0].from_backend == 1
+    for entry in manager.cache.entries():
+        chunk = entry.chunk
+        fresh = backend.compute_chunk(chunk.level, chunk.number)
+        assert chunk.cell_dict() == pytest.approx(fresh.cell_dict()), (
+            chunk.level, chunk.number,
+        )
+    manager.check_invariants()
+    again = manager.query(query, numbers=[computed])
+    truth = backend.compute_chunk(level, computed)
+    assert again.chunks[0].cell_dict() == pytest.approx(truth.cell_dict())
 
 
 def test_estimator_recalibrated_after_refresh(world):
