@@ -26,8 +26,8 @@ def test_vcm_insert_evict_roundtrip(benchmark, components):
     base = components.schema.base_level
 
     def roundtrip():
-        store.on_insert(base, 0)
-        store.on_evict(base, 0)
+        store.on_insert_many([(base, 0)])
+        store.on_evict_many([(base, 0)])
 
     benchmark(roundtrip)
     assert store.count(base, 0) == 0
@@ -38,8 +38,8 @@ def test_vcmc_insert_evict_roundtrip(benchmark, components):
     base = components.schema.base_level
 
     def roundtrip():
-        store.on_insert(base, 0)
-        store.on_evict(base, 0)
+        store.on_insert_many([(base, 0)])
+        store.on_evict_many([(base, 0)])
 
     benchmark(roundtrip)
     assert not store.is_computable(base, 0)

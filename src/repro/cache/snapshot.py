@@ -2,9 +2,9 @@
 
 A middle tier restarting cold pays the backend for everything again; a
 snapshot written at shutdown restores the chunk contents *and* lets the
-lookup strategy rebuild its count/cost state through the ordinary insert
-path, so Property 1 and the cost invariants hold by construction after a
-restore.
+lookup strategy rebuild its count/cost state through the manager's one
+admission wave, so Property 1 and the cost invariants hold by
+construction after a restore.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cache.store import Key
 from repro.chunks.chunk import Chunk, ChunkOrigin
 from repro.core.manager import AggregateCache
 from repro.faults.errors import CorruptChunkError
@@ -77,19 +78,20 @@ def save_cache_snapshot(manager: AggregateCache, path: str | Path) -> int:
 
 
 def load_cache_snapshot(manager: AggregateCache, path: str | Path) -> int:
-    """Re-insert every snapshotted chunk through the manager's ordinary
-    admission path (policy + strategy state maintenance included).
+    """Admit the snapshotted chunks, each at its saved benefit, as ONE
+    wave through the manager's ordinary admission path (policy + strategy
+    state maintenance included).
 
-    Returns the number of chunks restored; chunks the policy declines
-    (e.g. the capacity shrank) are skipped silently — the cache stays
-    correct either way.
+    Returns the number of snapshot chunks resident once that wave has
+    settled: a chunk the policy declines (e.g. the capacity shrank) or a
+    later chunk of the same restore displaced is not counted.  Chunks
+    already resident are skipped — re-offering one would bump its
+    benefit — and not counted either.
 
-    A chunk that fails its integrity check (mismatched array lengths, or
-    an injected :class:`CorruptChunkError` at the ``snapshot.load``
-    failpoint) is dropped *individually*: the rest of the snapshot still
-    restores, and because every surviving chunk goes through the
-    ordinary admission path the count/cost state is rebuilt consistently
-    for exactly the set that made it in.
+    Chunks are read and validated one at a time.  One that fails its
+    integrity check (mismatched array lengths, or an injected
+    :class:`CorruptChunkError` at the ``snapshot.load`` failpoint) is
+    dropped *individually*; the rest still restores.
     """
     with np.load(Path(path), allow_pickle=True) as data:
         version = int(data["version"][0])
@@ -118,8 +120,7 @@ def load_cache_snapshot(manager: AggregateCache, path: str | Path) -> int:
                 "snapshot and its chunks would silently serve stale "
                 "aggregates — re-warm the cache instead of restoring"
             )
-        restored = 0
-        skipped = 0
+        wave: dict[Key, Chunk] = {}
         metadata = data["metadata"]
         for i in range(count):
             level_text, number, origin, benefit = metadata[i]
@@ -128,9 +129,10 @@ def load_cache_snapshot(manager: AggregateCache, path: str | Path) -> int:
                 failpoint(
                     "snapshot.load", index=i, level=level, number=int(number)
                 )
-                chunk = _read_chunk(data, i, ndims, level, number, origin)
+                chunk = _read_chunk(
+                    data, i, ndims, level, number, origin, benefit
+                )
             except CorruptChunkError:
-                skipped += 1
                 if manager.obs.enabled:
                     manager.obs.metrics.counter(
                         "snapshot.corrupt_chunks"
@@ -141,17 +143,19 @@ def load_cache_snapshot(manager: AggregateCache, path: str | Path) -> int:
                         number=int(number),
                     )
                 continue
-            if manager.cache.contains(level, chunk.number):
+            if chunk.key in wave or manager.cache.contains(*chunk.key):
                 continue
-            updates = manager._insert(chunk, benefit=float(benefit))
-            del updates
-            if manager.cache.contains(level, chunk.number):
-                restored += 1
-        return restored
+            wave[chunk.key] = chunk
+    manager._admit_wave(list(wave.values()))
+    return sum(manager.cache.contains(*key) for key in wave)
 
 
-def _read_chunk(data, i: int, ndims: int, level, number, origin) -> Chunk:
-    """Deserialise chunk ``i``, validating that its arrays agree."""
+def _read_chunk(
+    data, i: int, ndims: int, level, number, origin, benefit
+) -> Chunk:
+    """Deserialise chunk ``i``, validating that its arrays agree.  The
+    saved benefit becomes the chunk's ``compute_cost``, the price the
+    admission wave offers it at."""
     extras = []
     m = 0
     while f"chunk_{i}_extra_{m}" in data:
@@ -175,5 +179,6 @@ def _read_chunk(data, i: int, ndims: int, level, number, origin) -> Chunk:
         values=values,
         counts=counts,
         origin=ChunkOrigin(str(origin)),
+        compute_cost=float(benefit),
         extras=tuple(extras),
     )

@@ -17,7 +17,7 @@ exact even when it is used without that layer.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.cache.replacement.base import ReplacementPolicy
@@ -63,6 +63,42 @@ class InsertOutcome:
 
     inserted: bool
     evicted: list[Chunk] = field(default_factory=list)
+
+
+def net_movements(
+    keys: Sequence[Key], outcomes: Sequence[InsertOutcome]
+) -> tuple[list[Key], list[Key]]:
+    """The NET ``(inserted, evicted)`` keys of one
+    :meth:`ChunkCache.insert_many` wave, given each item's key and outcome
+    in wave order.  Feeding a strategy the evictions and then the
+    insertions leaves it in exactly the state of the final resident set;
+    a chunk admitted and displaced within the wave never existed for it.
+
+    Netting follows each key's ORDERED events, not set membership: a key
+    is inserted at most once per wave (re-offering a resident chunk is a
+    refresh, not an event) but may be evicted, re-admitted by its own item
+    and evicted again when a racing query admitted it first.  Set-based
+    netting cancels that key out of both lists and strands its summary
+    state; the first and last events give the true start and end.
+    """
+    # Per-key event streams in processing order; an item's victims are
+    # evicted before the item itself lands.
+    events: dict[Key, list[bool]] = {}
+    for key, outcome in zip(keys, outcomes):
+        for victim in outcome.evicted:
+            events.setdefault(victim.key, []).append(False)
+        if outcome.inserted:
+            events.setdefault(key, []).append(True)
+    inserted: list[Key] = []
+    evicted: list[Key] = []
+    for key, stream in events.items():
+        was_resident = not stream[0]  # first event an evict => was in
+        is_resident = stream[-1]  # last event an insert => still in
+        if is_resident and not was_resident:
+            inserted.append(key)
+        elif was_resident and not is_resident:
+            evicted.append(key)
+    return inserted, evicted
 
 
 @dataclass
@@ -155,88 +191,31 @@ class ChunkCache:
     # ------------------------------------------------------------------ #
     # writes
 
-    def insert(self, chunk: Chunk, benefit: float) -> InsertOutcome:
-        """Offer a chunk to the cache.
-
-        The policy picks victims until the chunk fits; if it cannot free
-        enough allowed space the insert is rejected and *no* eviction
-        happens (victim clock decay still occurs — that is inherent to
-        CLOCK).  Empty chunks are cached too: knowing a region is empty is
-        as valuable as knowing its contents.
-        """
-        # Before the lock and before any mutation: an injected fault
-        # leaves the store, the policy and the caller's strategy state
-        # exactly as they were.
-        failpoint("cache.insert", level=chunk.level, number=chunk.number)
-        with self._lock:
-            key = chunk.key
-            if key in self._entries:
-                # Re-inserting a resident chunk refreshes its benefit/recency.
-                entry = self._entries[key]
-                entry.benefit = max(entry.benefit, benefit)
-                self.policy.on_hit(entry)
-                return InsertOutcome(inserted=False)
-            size = chunk.size_bytes(self.bytes_per_tuple)
-            entry = CacheEntry(chunk=chunk, benefit=benefit, size_bytes=size)
-            if size > self.capacity_bytes:
-                self._note_reject(chunk, size, "larger_than_cache")
-                return InsertOutcome(inserted=False)
-
-            victims: list[CacheEntry] = []
-            needed = size - self.free_bytes
-            if needed > 0:
-                freed = 0
-                for victim in self.policy.victim_iter(entry):
-                    if victim.pinned or not victim.resident:
-                        continue
-                    victims.append(victim)
-                    freed += victim.size_bytes
-                    if freed >= needed:
-                        break
-                if freed < needed:
-                    self._note_reject(chunk, size, "no_evictable_space")
-                    return InsertOutcome(inserted=False)
-                if not self.policy.should_admit(entry, victims):
-                    self._note_reject(chunk, size, "not_admitted")
-                    return InsertOutcome(inserted=False)
-
-            evicted = [self._remove_entry(victim) for victim in victims]
-            self._entries[key] = entry
-            self.used_bytes += size
-            self.policy.on_insert(entry)
-            self.stats.inserts += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("cache.inserts").inc()
-            self.obs.metrics.gauge("cache.used_bytes").set(self.used_bytes)
-            self.obs.tracer.emit(
-                "cache.insert",
-                level=list(chunk.level),
-                number=chunk.number,
-                bytes=size,
-                benefit_ms=benefit,
-                origin=chunk.origin.value,
-                evictions=len(evicted),
-            )
-        return InsertOutcome(inserted=True, evicted=evicted)
-
     def insert_many(
         self, items: Iterable[tuple[Chunk, float]]
     ) -> list[InsertOutcome]:
-        """Offer a whole admission wave to the cache under ONE lock
-        acquisition, with the policy's insert bookkeeping batched.
+        """Offer an admission wave of ``(chunk, benefit)`` items to the
+        cache, item by item in order, under ONE lock acquisition.
 
-        Semantically identical to calling :meth:`insert` per item in
-        order: policy ring appends are deferred and flushed in insert
-        order before any victim sweep, so victim selection sees exactly
-        the state the per-item loop would have built.  In the common case
-        (the wave fits without evictions) the policy is invoked once for
-        the whole wave.
+        Re-offering a resident chunk refreshes its benefit and recency.
+        Otherwise the policy picks victims until the chunk fits; if it
+        cannot free enough allowed space the item is rejected and *no*
+        eviction happens for it (victim clock decay still occurs — that is
+        inherent to CLOCK).  Empty chunks are cached too: knowing a region
+        is empty is as valuable as knowing its contents.
+
+        Policy ring appends are deferred and flushed in insert order
+        before any victim sweep, so victims are exactly those an
+        item-by-item admission would pick; a wave that fits without
+        evictions calls the policy once.
         """
         outcomes: list[InsertOutcome] = []
-        admitted: list[CacheEntry] = []
+        admitted: list[tuple[CacheEntry, int]] = []  # (entry, evictions)
         pending: list[CacheEntry] = []
         items = list(items)
-        # One failpoint per wave, before any mutation (see insert()).
+        # One failpoint per wave, before the lock and before any mutation:
+        # an injected fault leaves the store, the policy and the caller's
+        # strategy state exactly as they were.
         failpoint("cache.insert", wave=len(items))
         with self._lock:
             for chunk, benefit in items:
@@ -259,18 +238,11 @@ class ChunkCache:
                 needed = size - self.free_bytes
                 if needed > 0:
                     # Earlier admissions of this wave must be sweepable
-                    # victims, exactly as in the per-item loop.
+                    # victims, exactly as in an item-by-item admission.
                     if pending:
                         self.policy.on_insert_many(pending)
                         pending = []
-                    freed = 0
-                    for victim in self.policy.victim_iter(entry):
-                        if victim.pinned or not victim.resident:
-                            continue
-                        victims.append(victim)
-                        freed += victim.size_bytes
-                        if freed >= needed:
-                            break
+                    victims, freed = self._sweep(entry, needed)
                     if freed < needed:
                         self._note_reject(chunk, size, "no_evictable_space")
                         outcomes.append(InsertOutcome(inserted=False))
@@ -283,7 +255,7 @@ class ChunkCache:
                 self._entries[key] = entry
                 self.used_bytes += size
                 pending.append(entry)
-                admitted.append(entry)
+                admitted.append((entry, len(evicted)))
                 self.stats.inserts += 1
                 outcomes.append(InsertOutcome(inserted=True, evicted=evicted))
             if pending:
@@ -291,10 +263,7 @@ class ChunkCache:
         if self.obs.enabled and admitted:
             self.obs.metrics.counter("cache.inserts").inc(len(admitted))
             self.obs.metrics.gauge("cache.used_bytes").set(self.used_bytes)
-            for entry, outcome in zip(
-                admitted,
-                (o for o in outcomes if o.inserted),
-            ):
+            for entry, evictions in admitted:
                 chunk = entry.chunk
                 self.obs.tracer.emit(
                     "cache.insert",
@@ -303,7 +272,7 @@ class ChunkCache:
                     bytes=entry.size_bytes,
                     benefit_ms=entry.benefit,
                     origin=chunk.origin.value,
-                    evictions=len(outcome.evicted),
+                    evictions=evictions,
                 )
         return outcomes
 
@@ -369,16 +338,9 @@ class ChunkCache:
                 ):
                     anchor = entry
             if self.used_bytes > self.capacity_bytes and anchor is not None:
-                needed = self.used_bytes - self.capacity_bytes
-                victims: list[CacheEntry] = []
-                freed = 0
-                for victim in self.policy.victim_iter(anchor):
-                    if victim.pinned or not victim.resident:
-                        continue
-                    victims.append(victim)
-                    freed += victim.size_bytes
-                    if freed >= needed:
-                        break
+                victims, _ = self._sweep(
+                    anchor, self.used_bytes - self.capacity_bytes
+                )
                 evicted = [self._remove_entry(victim) for victim in victims]
         if self.obs.enabled and replacements:
             self.obs.metrics.counter("cache.patches").inc(len(replacements))
@@ -390,16 +352,6 @@ class ChunkCache:
                 used_bytes=self.used_bytes,
             )
         return evicted
-
-    def evict(self, level: Level, number: int) -> Chunk:
-        """Forcibly remove one chunk (used by tests and maintenance)."""
-        with self._lock:
-            entry = self._entries.get((level, number))
-            if entry is None:
-                raise ReproError(
-                    f"cannot evict: chunk {number} of level {level} not cached"
-                )
-            return self._remove_entry(entry)
 
     def reinforce(
         self, keys: Iterable[Key], benefit_ms: float
@@ -423,6 +375,24 @@ class ChunkCache:
             if entries:
                 self.policy.on_aggregate_use(entries, benefit_ms)
             return len(entries), skipped
+
+    def _sweep(
+        self, anchor: CacheEntry, needed: int
+    ) -> tuple[list[CacheEntry], int]:
+        """The victims the policy offers on behalf of ``anchor`` until
+        ``needed`` bytes are freed — pinned and non-resident entries are
+        skipped — and the bytes they free (short of ``needed`` when the
+        policy runs out).  Nothing is removed yet."""
+        victims: list[CacheEntry] = []
+        freed = 0
+        for victim in self.policy.victim_iter(anchor):
+            if victim.pinned or not victim.resident:
+                continue
+            victims.append(victim)
+            freed += victim.size_bytes
+            if freed >= needed:
+                break
+        return victims, freed
 
     def _remove_entry(self, entry: CacheEntry) -> Chunk:
         del self._entries[entry.key]

@@ -13,12 +13,14 @@ Both are a pure function of the resident set, so maintenance is exact:
 after any sequence of waves the arrays are bit-identical to a store
 rebuilt from the resident set in one wave.
 
-A wave (:meth:`CostStore.on_insert_many` / :meth:`CostStore.on_evict_many`)
-writes its direct effects first — an inserted chunk gets cost 0 and
+Every cache movement is a wave (:meth:`CostStore.on_insert_many` /
+:meth:`CostStore.on_evict_many`; a single movement is a wave of one).  A
+wave writes its direct effects first — an inserted chunk gets cost 0 and
 ``BEST_CACHED``, an evicted chunk becomes dirty — then walks the levels
 most detailed first and settles each dirty chunk **at most once**, with
-every parent level already final.  A dirty chunk carries the set of its
-parent indices whose chunks changed:
+every parent level already final.  Only the component sums that hold
+dirty chunks are visited, so a wave costs what it touches.  A dirty chunk
+carries the set of its parent indices whose chunks changed:
 
 * in an insert wave costs can only fall, so the new cost is the minimum
   of the old one and the paths through the changed parents;
@@ -39,6 +41,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.counts import most_detailed_first
 from repro.core.sizes import SizeEstimator
 from repro.schema.cube import CubeSchema, Level
 from repro.util.errors import ReproError
@@ -84,10 +87,6 @@ class CostStore:
         parent index — built from ``sizes``, so :meth:`recalibrate` drops
         it."""
         self._children: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._depth = sum(schema.base_level)
-        """Component sum of the base level.  A lattice edge lowers the sum
-        by one, so a wave walks sums from here down to the apex's 0: by
-        the time it reaches a chunk, every parent level has settled."""
         self.total_updates = 0
         """Lifetime number of chunks whose (cost, best parent) changed."""
         self._lock = threading.Lock()
@@ -135,15 +134,6 @@ class CostStore:
     # ------------------------------------------------------------------ #
     # maintenance
 
-    def on_insert(self, level: Level, number: int) -> int:
-        """A chunk entered the cache: its cost drops to 0.  Returns the
-        number of chunks whose (cost, best parent) changed."""
-        return self.on_insert_many([(level, number)])
-
-    def on_evict(self, level: Level, number: int) -> int:
-        """A chunk left the cache: recompute its cost from its parents."""
-        return self.on_evict_many([(level, number)])
-
     def on_insert_many(self, keys: Sequence[tuple[Level, int]]) -> int:
         """A wave of chunks entered the cache.  Returns the number of
         chunks whose (cost, best parent) changed."""
@@ -188,11 +178,13 @@ class CostStore:
         pass settling each dirty chunk at most once.
 
         ``dirty[sum(level)][chunk]`` is a bit mask of the parent indices
-        whose chunks changed cost.  A directly evicted chunk is dirty with
-        an empty mask: its ``BEST_CACHED`` pointer forces a
-        re-minimisation.
+        whose chunks changed cost; a sum is present only while it holds
+        dirty chunks.  A directly evicted chunk is dirty with an empty
+        mask: its ``BEST_CACHED`` pointer forces a re-minimisation.  A
+        lattice edge lowers the component sum by one, so by the time the
+        walk reaches a chunk every parent level has settled.
         """
-        dirty: list[dict[int, int]] = [{} for _ in range(self._depth + 1)]
+        dirty: dict[int, dict[int, int]] = {}
         costs, bests, cached = self._flat_cost, self._flat_best, self._flat_cached
         updates = 0
         for level, number in keys:
@@ -206,14 +198,12 @@ class CostStore:
                 bests[chunk] = BEST_CACHED
                 updates += 1
                 if old_cost != 0.0:
-                    self._mark_children(chunk, dirty[sum(level) - 1])
+                    self._mark_children(chunk, dirty, sum(level) - 1)
             else:
                 cached[chunk] = False
-                dirty[sum(level)].setdefault(chunk, 0)
-        for level_sum in range(self._depth, -1, -1):
-            # Every child is one lattice edge down (the apex has none).
-            children = dirty[level_sum - 1]
-            for chunk, changed in dirty[level_sum].items():
+                dirty.setdefault(sum(level), {}).setdefault(chunk, 0)
+        for level_sum, wave in most_detailed_first(dirty):
+            for chunk, changed in wave.items():
                 if cached[chunk]:
                     # A cached chunk stays at cost 0 whatever its parents do.
                     continue
@@ -246,7 +236,7 @@ class CostStore:
                 bests[chunk] = best
                 updates += 1
                 if cost != old_cost:
-                    self._mark_children(chunk, children)
+                    self._mark_children(chunk, dirty, level_sum - 1)
         self.total_updates += updates
         return updates
 
@@ -294,9 +284,13 @@ class CostStore:
                 best_idx = idx
         return best_cost, best_idx
 
-    def _mark_children(self, chunk: int, children: dict[int, int]) -> None:
+    def _mark_children(
+        self, chunk: int, dirty: dict[int, dict[int, int]], child_sum: int
+    ) -> None:
         """Flag every child of a chunk whose cost changed, recording which
-        of the child's parent indices the change arrived through."""
+        of the child's parent indices the change arrived through.  The
+        children sit one lattice edge down, at component sum
+        ``child_sum``."""
         entries = self._children.get(chunk)
         if entries is None:
             level, number = self._keys[chunk]
@@ -308,5 +302,9 @@ class CostStore:
                 )
                 for child_level in self.schema.children_of(level)
             )
+        if not entries:
+            # The apex has no children: leave no empty sum to walk.
+            return
+        children = dirty.setdefault(child_sum, {})
         for child, bit in entries:
             children[child] = children.get(child, 0) | bit

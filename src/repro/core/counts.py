@@ -8,13 +8,15 @@ a single array read.
 
 Counts are a pure function of the resident set, and they are maintained
 one wave at a time (:meth:`CountStore.on_insert_many` /
-:meth:`CountStore.on_evict_many`; a single movement is a wave of one).  A
-wave adds its direct ±1 deltas, then walks the levels most detailed first
-— component sums from the base down to the apex, so every parent level is
-final before its children are reached — and applies each chunk's net
-delta once.  Only a chunk whose computability *flipped* can change a
-child's count, and it does so through one parent path per child (the
-paper's ``VCM_InsertUpdateCount`` step):
+:meth:`CountStore.on_evict_many`): every cache movement is a wave, and a
+single movement is a wave of one.  A wave adds its direct ±1 deltas, then
+walks the levels most detailed first — the component sums that hold
+pending work, from the base side down towards the apex, so every parent
+level is final before its children are reached — and applies each chunk's
+net delta once.  A sum with no pending work is never visited, so a wave
+costs what it touches.  Only a chunk whose computability *flipped* can
+change a child's count, and it does so through one parent path per child
+(the paper's ``VCM_InsertUpdateCount`` step):
 
 * in an insert wave the child gains one if every chunk of the path is now
   computable;
@@ -38,7 +40,7 @@ through :meth:`on_evict_many`, like any other eviction.  See
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +50,21 @@ from repro.util.errors import ReproError
 Key = tuple[Level, int]
 
 _Path = tuple[int, tuple[int, ...]]
+
+
+def most_detailed_first(
+    pending: dict[int, dict[int, int]],
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Pop a wave's pending work, highest component sum first, for as long
+    as any is left.
+
+    Settling one sum adds work only one lattice edge down (one sum lower),
+    so popping the highest sum left visits the levels in lattice order and
+    visits only the sums that hold work.
+    """
+    while pending:
+        level_sum = max(pending)
+        yield level_sum, pending.pop(level_sum)
 
 
 class CountStore:
@@ -77,9 +94,6 @@ class CountStore:
         """Per chunk, one ``(child, path chunks)`` per child level: the
         child's parent path through this chunk's level, as flat
         indices."""
-        self._depth = sum(schema.base_level)
-        """Component sum of the base level; a lattice edge lowers it by
-        one, down to the apex's 0."""
         self.total_updates = 0
         """Lifetime sum of ``|Δcount|`` over all waves."""
         self._lock = threading.Lock()
@@ -108,14 +122,6 @@ class CountStore:
     # ------------------------------------------------------------------ #
     # maintenance
 
-    def on_insert(self, level: Level, number: int) -> int:
-        """A chunk entered the cache.  Returns the count change charged."""
-        return self.on_insert_many([(level, number)])
-
-    def on_evict(self, level: Level, number: int) -> int:
-        """A chunk left the cache.  Returns the count change charged."""
-        return self.on_evict_many([(level, number)])
-
     def on_insert_many(self, keys: Sequence[Key]) -> int:
         """A wave of chunks entered the cache.  Returns the wave's charge:
         the sum of ``|Δcount|`` over every chunk."""
@@ -138,16 +144,16 @@ class CountStore:
 
         ``pending[sum(level)]`` maps flat indices to the delta owed — the
         direct keys plus every path gained or lost at the more detailed
-        levels already walked.
+        levels already walked.  A sum is present only while it holds work.
         """
         counts = self._flat
-        pending: list[dict[int, int]] = [{} for _ in range(self._depth + 1)]
+        pending: dict[int, dict[int, int]] = {}
         for level, number in keys:
-            owed = pending[sum(level)]
+            owed = pending.setdefault(sum(level), {})
             chunk = self._offset[level] + number
             owed[chunk] = owed.get(chunk, 0) + sign
         if sign < 0:
-            for owed in pending:
+            for owed in pending.values():
                 for chunk, delta in owed.items():
                     if counts.item(chunk) + delta < 0:
                         level, number = self._keys[chunk]
@@ -157,17 +163,18 @@ class CountStore:
                             "counted"
                         )
         updates = 0
-        for level_sum in range(self._depth, -1, -1):
+        for level_sum, owed in most_detailed_first(pending):
             flipped: list[int] = []
-            for chunk, delta in pending[level_sum].items():
+            for chunk, delta in owed.items():
                 old = counts.item(chunk)
                 counts[chunk] = old + delta
                 updates += abs(delta)
                 if (old > 0) != (old + delta > 0):
                     flipped.append(chunk)
             if not flipped or not level_sum:
+                # Nothing flipped, or the apex: it has no children.
                 continue
-            children = pending[level_sum - 1]
+            children = pending.pop(level_sum - 1, {})
             # A path of several chunks is keyed by its child and its first
             # chunk (one path per child and parent level), so it is
             # examined once however many of its chunks flipped.
@@ -183,6 +190,8 @@ class CountStore:
             for (child, _), members in shared.items():
                 if all(counts.item(m) > 0 or m in was for m in members):
                     children[child] = children.get(child, 0) + sign
+            if children:
+                pending[level_sum - 1] = children
         self.total_updates += updates
         return updates
 

@@ -33,7 +33,7 @@ from repro.backend.engine import BackendDatabase
 from repro.cache.preload import choose_preload_level
 from repro.cache.replacement import make_policy
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.store import ChunkCache
+from repro.cache.store import ChunkCache, net_movements
 from repro.chunks.chunk import Chunk, ChunkOrigin
 from repro.core.costs import CostStore
 from repro.core.counts import CountStore
@@ -338,17 +338,14 @@ class AggregateCache:
         level = choose_preload_level(
             self.schema, self.sizes, self.cache.capacity_bytes, headroom=headroom
         )
-        if level is None:
-            return None
-        chunks = self.backend.compute_level(level)
-        for chunk in chunks:
-            chunk.origin = ChunkOrigin.PRELOAD
-        self._admit_wave(chunks)
+        if level is not None:
+            self.preload_levels([level])
         return level
 
     def preload_levels(self, levels: list[Level]) -> list[Level]:
         """Pre-load several whole group-bys (e.g. an HRU-selected view
-        set); returns the levels whose chunks were all admitted.
+        set) as one admission wave; returns the levels whose chunks were
+        all admitted.
 
         Completeness is judged only after *every* chunk is in: an insert
         later in the sequence may evict an earlier chunk of the same (or
@@ -1062,61 +1059,22 @@ class AggregateCache:
         )[0]
 
     def _admit_wave(self, chunks: list[Chunk]) -> int:
-        """Admit an aggregation/fetch (or preload) wave: one batched cache
-        admission, then one count/cost wave per movement direction.
-
-        The strategy sees the wave's NET movements: a chunk admitted and
-        then displaced by a later admission of the same wave never
-        existed as far as the summary state is concerned, and keys are
-        cascaded evictions-first so the final state is exactly the state
-        of the final resident set (the same fixpoint the per-chunk loop
-        reaches, without N scalar cascades).
-
-        Netting works off each key's ORDERED event sequence, not set
-        membership: within one wave a key sees at most one insertion
-        (wave keys are unique; re-offering a resident chunk is a refresh,
-        not an event) but may be evicted, re-admitted by its own wave
-        item, and evicted again — the ``[evict, insert, evict]`` pattern,
-        reachable when a racing query admitted the chunk between this
-        query's planning and its admission.  Set-based netting cancels
-        that key out of both lists and strands its count/cost state; the
-        first and last events give the true start/end residency.
+        """Admit an aggregation/fetch (or preload, or restore) wave: one
+        batched cache admission, each chunk offered at its
+        ``compute_cost``, then one count/cost wave per movement direction
+        over the wave's NET movements (:func:`net_movements`).  Returns
+        the state updates charged.
         """
         if not chunks:
             return 0
         outcomes = self.cache.insert_many(
             [(chunk, chunk.compute_cost) for chunk in chunks]
         )
-        # Per-key event streams in processing order; an item's victims
-        # are evicted before the item itself lands.
-        events: dict[Key, list[bool]] = {}
-        order: list[Key] = []
-        for chunk, outcome in zip(chunks, outcomes):
-            for victim in outcome.evicted:
-                events.setdefault(victim.key, []).append(False)
-                order.append(victim.key)
-            if outcome.inserted:
-                events.setdefault(chunk.key, []).append(True)
-                order.append(chunk.key)
-        seen: set[Key] = set()
-        net_inserted: list[Key] = []
-        net_evicted: list[Key] = []
-        for key in order:
-            if key in seen:
-                continue
-            seen.add(key)
-            stream = events[key]
-            was_resident = not stream[0]  # first event an evict => was in
-            is_resident = stream[-1]  # last event an insert => still in
-            if is_resident and not was_resident:
-                net_inserted.append(key)
-            elif was_resident and not is_resident:
-                net_evicted.append(key)
-        updates = 0
-        if net_evicted:
-            updates += self.strategy.on_evict_many(net_evicted)
-        if net_inserted:
-            updates += self.strategy.on_insert_many(net_inserted)
+        net_inserted, net_evicted = net_movements(
+            [chunk.key for chunk in chunks], outcomes
+        )
+        updates = self.strategy.on_evict_many(net_evicted)
+        updates += self.strategy.on_insert_many(net_inserted)
         if updates and self.obs.enabled:
             self.obs.metrics.counter("strategy.state_updates").inc(updates)
             self.obs.tracer.emit(
@@ -1125,25 +1083,6 @@ class AggregateCache:
                 inserted=len(net_inserted),
                 evictions=len(net_evicted),
                 updates=updates,
-            )
-        return updates
-
-    def _insert(self, chunk: Chunk, benefit: float) -> int:
-        """Admit a chunk, keeping the strategy's summary state in sync."""
-        outcome = self.cache.insert(chunk, benefit)
-        updates = 0
-        for evicted in outcome.evicted:
-            updates += self.strategy.on_evict(evicted.level, evicted.number)
-        if outcome.inserted:
-            updates += self.strategy.on_insert(chunk.level, chunk.number)
-        if updates and self.obs.enabled:
-            self.obs.metrics.counter("strategy.state_updates").inc(updates)
-            self.obs.tracer.emit(
-                "strategy.update",
-                level=list(chunk.level),
-                number=chunk.number,
-                updates=updates,
-                evictions=len(outcome.evicted),
             )
         return updates
 
@@ -1172,33 +1111,30 @@ class AggregateCache:
                 f"but resident entries sum to {resident_bytes}"
             )
         resident = cache.resident_keys()
+        # (store kind, what its arrays hold, the live store, an empty
+        # store to rebuild in one wave, its per-level array accessors)
+        checks = []
         counts = getattr(self.strategy, "counts", None)
         if isinstance(counts, CountStore):
-            rebuilt = CountStore(self.schema)
-            rebuilt.on_insert_many(resident)
-            for level in self.schema.all_levels():
-                if not np.array_equal(
-                    counts.counts_array(level), rebuilt.counts_array(level)
-                ):
-                    raise ReproError(
-                        f"count maintenance violated: counts at level {level} "
-                        "differ from a rebuild off the resident set"
-                    )
+            checks.append((
+                "count", "counts", counts, CountStore(self.schema),
+                (CountStore.counts_array,),
+            ))
         costs = getattr(self.strategy, "costs", None)
         if isinstance(costs, CostStore):
-            rebuilt_costs = CostStore(self.schema, costs.sizes)
-            rebuilt_costs.on_insert_many(resident)
+            checks.append((
+                "cost", "Cost/BestParent", costs, CostStore(self.schema, costs.sizes),
+                (CostStore.cost_array, CostStore.best_array),
+            ))
+        for kind, what, store, rebuilt, arrays in checks:
+            rebuilt.on_insert_many(resident)
             for level in self.schema.all_levels():
-                if not (
-                    np.array_equal(
-                        costs.cost_array(level), rebuilt_costs.cost_array(level)
-                    )
-                    and np.array_equal(
-                        costs.best_array(level), rebuilt_costs.best_array(level)
-                    )
+                if not all(
+                    np.array_equal(array(store, level), array(rebuilt, level))
+                    for array in arrays
                 ):
                     raise ReproError(
-                        f"cost maintenance violated: Cost/BestParent at level "
+                        f"{kind} maintenance violated: {what} at level "
                         f"{level} differ from a rebuild off the resident set"
                     )
 

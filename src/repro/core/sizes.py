@@ -69,7 +69,10 @@ class SizeEstimator:
             for d, (dim, l) in enumerate(zip(schema.dimensions, level))
         ]
         cell_shape = schema.chunks.cell_shape(level)
-        distinct = len(np.unique(np.ravel_multi_index(coords, cell_shape)))
+        # Distinct cells by sorting and counting neighbours that differ:
+        # the same count as ``np.unique`` without its extra passes.
+        flat = np.sort(np.ravel_multi_index(coords, cell_shape))
+        distinct = int(np.count_nonzero(flat[1:] != flat[:-1])) + 1 if flat.size else 0
         return distinct / max(schema.num_cells(level), 1)
 
     def observe_append(

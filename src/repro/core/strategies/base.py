@@ -5,9 +5,11 @@ answered from the cache, and via which aggregation path?* — and maintains
 whatever summary state it needs when chunks enter or leave the cache.
 
 ``find`` returns a :class:`~repro.core.plans.PlanNode` (a leaf for a direct
-hit) or ``None`` when the chunk must go to the backend.  ``on_insert`` /
-``on_evict`` are called by the cache for every chunk movement; only the
-virtual-count strategies do work there.
+hit) or ``None`` when the chunk must go to the backend.  Every cache
+movement reaches a strategy as a wave: ``on_evict_many`` with the keys
+that left, then ``on_insert_many`` with the keys that entered (a single
+movement is a wave of one).  Only the virtual-count strategies do work
+there.
 """
 
 from __future__ import annotations
@@ -149,18 +151,6 @@ class LookupStrategy(abc.ABC):
     # ``(level, number)`` keys so the plan cache can scope invalidation
     # to the chunk regions the wave actually touched.
 
-    def on_insert(self, level: Level, number: int) -> int:
-        """Called after a chunk enters the cache.  Returns update count."""
-        if self.plan_cache is not None:
-            self.plan_cache.bump(((level, number),))
-        return self._on_insert(level, number)
-
-    def on_evict(self, level: Level, number: int) -> int:
-        """Called after a chunk leaves the cache.  Returns update count."""
-        if self.plan_cache is not None:
-            self.plan_cache.bump(((level, number),))
-        return self._on_evict(level, number)
-
     def on_insert_many(self, keys: list[Key]) -> int:
         """A whole admission wave entered the cache at once."""
         if not keys:
@@ -177,17 +167,11 @@ class LookupStrategy(abc.ABC):
             self.plan_cache.bump(keys)
         return self._on_evict_many(keys)
 
-    def _on_insert(self, level: Level, number: int) -> int:
-        return 0
-
-    def _on_evict(self, level: Level, number: int) -> int:
-        return 0
-
     def _on_insert_many(self, keys: list[Key]) -> int:
-        return sum(self._on_insert(level, number) for level, number in keys)
+        return 0
 
     def _on_evict_many(self, keys: list[Key]) -> int:
-        return sum(self._on_evict(level, number) for level, number in keys)
+        return 0
 
     def state_bytes(self) -> int:
         """Bytes of summary state maintained (paper's Table 3 accounting)."""

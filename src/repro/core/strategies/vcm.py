@@ -79,12 +79,6 @@ class VCMStrategy(LookupStrategy):
     # ------------------------------------------------------------------ #
     # maintenance
 
-    def _on_insert(self, level: Level, number: int) -> int:
-        return self.counts.on_insert(level, number)
-
-    def _on_evict(self, level: Level, number: int) -> int:
-        return self.counts.on_evict(level, number)
-
     def _on_insert_many(self, keys: list[tuple[Level, int]]) -> int:
         return self.counts.on_insert_many(keys)
 

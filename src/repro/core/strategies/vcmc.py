@@ -76,25 +76,11 @@ class VCMCStrategy(LookupStrategy):
     # ------------------------------------------------------------------ #
     # maintenance
 
-    def _on_insert(self, level: Level, number: int) -> int:
-        updates = self.counts.on_insert(level, number)
-        updates += self.costs.on_insert(level, number)
-        return updates
-
-    def _on_evict(self, level: Level, number: int) -> int:
-        updates = self.counts.on_evict(level, number)
-        updates += self.costs.on_evict(level, number)
-        return updates
-
     def _on_insert_many(self, keys: list[tuple[Level, int]]) -> int:
-        updates = self.counts.on_insert_many(keys)
-        updates += self.costs.on_insert_many(keys)
-        return updates
+        return self.counts.on_insert_many(keys) + self.costs.on_insert_many(keys)
 
     def _on_evict_many(self, keys: list[tuple[Level, int]]) -> int:
-        updates = self.counts.on_evict_many(keys)
-        updates += self.costs.on_evict_many(keys)
-        return updates
+        return self.counts.on_evict_many(keys) + self.costs.on_evict_many(keys)
 
     def state_bytes(self) -> int:
         per_entry = self.COUNT_BYTES + self.COST_BYTES + self.BEST_PARENT_BYTES

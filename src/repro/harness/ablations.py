@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache.replacement.two_level import TwoLevelPolicy
-from repro.chunks.chunk import ChunkOrigin
 from repro.core.manager import AggregateCache
 from repro.harness.common import Components, build_components
 from repro.harness.config import ExperimentConfig
@@ -125,9 +124,7 @@ def _preload_largest(manager: AggregateCache, headroom: float) -> Level | None:
             best, best_bytes = level, est
     if best is None:
         return None
-    for chunk in manager.backend.compute_level(best):
-        chunk.origin = ChunkOrigin.PRELOAD
-        manager._insert(chunk, benefit=chunk.compute_cost)
+    manager.preload_levels([best])
     manager.preloaded_level = best
     return best
 

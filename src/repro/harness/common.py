@@ -7,7 +7,7 @@ from functools import lru_cache
 
 from repro.backend import BackendDatabase, CostModel, generate_fact_table
 from repro.cache.replacement import make_policy
-from repro.cache.store import ChunkCache
+from repro.cache.store import ChunkCache, net_movements
 from repro.core.sizes import SizeEstimator
 from repro.core.strategies import make_strategy
 from repro.core.strategies.base import LookupStrategy
@@ -79,14 +79,12 @@ def preload_level_into(
     level,
     strategies: list[LookupStrategy],
 ) -> None:
-    """Load every chunk of ``level`` into ``cache`` (state kept in sync)."""
-    schema = components.schema
-    for number in range(schema.num_chunks(level)):
-        chunk = components.backend.compute_chunk(level, number)
-        outcome = cache.insert(chunk, benefit=chunk.compute_cost)
-        if outcome.inserted:
-            for strategy in strategies:
-                strategy.on_insert(level, number)
-        for evicted in outcome.evicted:
-            for strategy in strategies:
-                strategy.on_evict(evicted.level, evicted.number)
+    """Load every chunk of ``level`` into ``cache`` as one admission wave,
+    then feed each strategy the wave's net evictions and net insertions
+    (state kept in sync)."""
+    chunks = components.backend.compute_level(level)
+    outcomes = cache.insert_many([(chunk, chunk.compute_cost) for chunk in chunks])
+    inserted, evicted = net_movements([chunk.key for chunk in chunks], outcomes)
+    for strategy in strategies:
+        strategy.on_evict_many(evicted)
+        strategy.on_insert_many(inserted)

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.harness.common import build_components, empty_cache, strategy_on
+from repro.chunks.chunk import Chunk
+from repro.harness.common import (
+    Components,
+    build_components,
+    empty_cache,
+    strategy_on,
+)
 from repro.harness.config import ExperimentConfig
 from repro.schema.cube import Level
 from repro.util.tables import render_table
@@ -62,27 +68,39 @@ class Table2Result:
 
 def run_table2(config: ExperimentConfig) -> Table2Result:
     components = build_components(config)
-    schema = components.schema
-    first, second = table2_levels(schema.heights)
+    first, second = table2_levels(components.schema.heights)
     result = Table2Result(config=config, levels=(first, second))
-
+    chunks = [components.backend.compute_level(level) for level in (first, second)]
+    # Both algorithms read the schema's shared addressing memos.  One
+    # untimed pass of each warms them, so neither timed pass pays the
+    # warm-up for the other and the order they run in does not matter.
     for algo in ALGORITHMS:
-        cache = empty_cache(components)
-        strategy = strategy_on(algo, components, cache)
-        accs = []
-        update_counts = []
-        for level in (first, second):
-            acc = MinMaxAvg()
-            updates = 0
-            watch = Stopwatch()
-            for number in range(schema.num_chunks(level)):
-                chunk = components.backend.compute_chunk(level, number)
-                cache.insert(chunk, benefit=chunk.compute_cost)
-                watch.restart()
-                updates += strategy.on_insert(level, number)
-                acc.observe(watch.elapsed_ms())
-            accs.append(acc)
-            update_counts.append(updates)
-        result.times[algo] = (accs[0], accs[1])
-        result.updates[algo] = (update_counts[0], update_counts[1])
+        _load_levels(algo, components, chunks)
+    for algo in ALGORITHMS:
+        result.times[algo], result.updates[algo] = _load_levels(
+            algo, components, chunks
+        )
     return result
+
+
+def _load_levels(
+    algo: str, components: Components, levels: list[list[Chunk]]
+) -> tuple[tuple[MinMaxAvg, ...], tuple[int, ...]]:
+    """Insert each level's chunks into a fresh cache in order, timing each
+    chunk's state update as a one-key wave — the paper's per-insertion
+    update.  Returns per level the times and the state updates charged."""
+    cache = empty_cache(components)
+    strategy = strategy_on(algo, components, cache)
+    accs, update_counts = [], []
+    watch = Stopwatch()
+    for chunks in levels:
+        acc = MinMaxAvg()
+        updates = 0
+        for chunk in chunks:
+            cache.insert_many([(chunk, chunk.compute_cost)])
+            watch.restart()
+            updates += strategy.on_insert_many([chunk.key])
+            acc.observe(watch.elapsed_ms())
+        accs.append(acc)
+        update_counts.append(updates)
+    return tuple(accs), tuple(update_counts)

@@ -10,6 +10,7 @@ from repro import BackendDatabase, CostModel
 from repro.backend.columnar import MmapColumnarStore
 from repro.cache.store import ChunkCache
 from repro.cache.replacement import make_policy
+from tests.helpers import admit
 
 
 def test_backend_close_is_idempotent(tiny_schema, tiny_facts):
@@ -63,7 +64,7 @@ def test_chunk_cache_close_is_idempotent(tiny_schema, tiny_facts):
         bytes_per_tuple=40,
     )
     chunk = next(iter(backend.compute_level(tiny_schema.base_level)))
-    cache.insert(chunk, benefit=1.0)
+    admit(cache, chunk, benefit=1.0)
     with cache:
         pass
     cache.close()

@@ -7,6 +7,7 @@ import numpy as np
 from repro.cache.replacement.benefit_clock import BenefitClockPolicy
 from repro.cache.store import ChunkCache
 from repro.chunks import Chunk, ChunkOrigin
+from tests.helpers import admit
 
 BPT = 10
 
@@ -24,8 +25,8 @@ def make_chunk(number, cells=4):
 
 def full_cache(profit_admission: bool) -> ChunkCache:
     cache = ChunkCache(80, BenefitClockPolicy(profit_admission), BPT)
-    cache.insert(make_chunk(0), benefit=100.0)
-    cache.insert(make_chunk(1), benefit=100.0)
+    admit(cache, make_chunk(0), benefit=100.0)
+    admit(cache, make_chunk(1), benefit=100.0)
     # Drain the clocks so eviction candidates exist immediately.
     for entry in cache.entries():
         entry.clock = 0.0
@@ -34,7 +35,7 @@ def full_cache(profit_admission: bool) -> ChunkCache:
 
 def test_low_profit_chunk_rejected():
     cache = full_cache(profit_admission=True)
-    outcome = cache.insert(make_chunk(2), benefit=1.0)
+    outcome = admit(cache, make_chunk(2), benefit=1.0)
     assert not outcome.inserted
     assert cache.contains((1,), 0) and cache.contains((1,), 1)
     assert cache.stats.rejects == 1
@@ -42,34 +43,34 @@ def test_low_profit_chunk_rejected():
 
 def test_high_profit_chunk_admitted():
     cache = full_cache(profit_admission=True)
-    outcome = cache.insert(make_chunk(2), benefit=500.0)
+    outcome = admit(cache, make_chunk(2), benefit=500.0)
     assert outcome.inserted
     assert len(outcome.evicted) == 1
 
 
 def test_equal_profit_admitted():
     cache = full_cache(profit_admission=True)
-    outcome = cache.insert(make_chunk(2), benefit=100.0)
+    outcome = admit(cache, make_chunk(2), benefit=100.0)
     assert outcome.inserted
 
 
 def test_default_policy_admits_everything():
     cache = full_cache(profit_admission=False)
-    outcome = cache.insert(make_chunk(2), benefit=0.0)
+    outcome = admit(cache, make_chunk(2), benefit=0.0)
     assert outcome.inserted
 
 
 def test_admission_only_consulted_under_pressure():
     cache = ChunkCache(1000, BenefitClockPolicy(True), BPT)
-    cache.insert(make_chunk(0), benefit=100.0)
+    admit(cache, make_chunk(0), benefit=100.0)
     # Plenty of space: no victims, so even a zero-benefit chunk enters.
-    outcome = cache.insert(make_chunk(1), benefit=0.0)
+    outcome = admit(cache, make_chunk(1), benefit=0.0)
     assert outcome.inserted
 
 
 def test_rejection_leaves_victims_resident():
     cache = full_cache(profit_admission=True)
     before = set(cache.resident_keys())
-    cache.insert(make_chunk(2), benefit=1.0)
+    admit(cache, make_chunk(2), benefit=1.0)
     assert set(cache.resident_keys()) == before
     assert cache.used_bytes == 80

@@ -10,6 +10,7 @@ from repro.cache.replacement.base import clock_weight
 from repro.cache.store import ChunkCache
 from repro.chunks import Chunk, ChunkOrigin
 from repro.util.errors import ReproError
+from tests.helpers import admit
 
 BPT = 10
 
@@ -34,27 +35,27 @@ def test_registry():
 class TestLRUPolicy:
     def test_evicts_oldest_first(self):
         cache = ChunkCache(80, make_policy("lru"), BPT)
-        cache.insert(make_chunk(0), benefit=999.0)  # benefit is ignored
-        cache.insert(make_chunk(1), benefit=0.0)
-        cache.insert(make_chunk(2), benefit=0.0)
+        admit(cache, make_chunk(0), benefit=999.0)  # benefit is ignored
+        admit(cache, make_chunk(1), benefit=0.0)
+        admit(cache, make_chunk(2), benefit=0.0)
         assert not cache.contains((1,), 0)
         assert cache.contains((1,), 1) and cache.contains((1,), 2)
 
     def test_hit_refreshes_recency(self):
         cache = ChunkCache(80, make_policy("lru"), BPT)
-        cache.insert(make_chunk(0), benefit=0.0)
-        cache.insert(make_chunk(1), benefit=0.0)
+        admit(cache, make_chunk(0), benefit=0.0)
+        admit(cache, make_chunk(1), benefit=0.0)
         cache.get((1,), 0)  # chunk 0 is now the most recent
-        cache.insert(make_chunk(2), benefit=0.0)
+        admit(cache, make_chunk(2), benefit=0.0)
         assert cache.contains((1,), 0)
         assert not cache.contains((1,), 1)
 
     def test_pinned_skipped(self):
         cache = ChunkCache(80, make_policy("lru"), BPT)
-        cache.insert(make_chunk(0), benefit=0.0)
+        admit(cache, make_chunk(0), benefit=0.0)
         cache.entry((1,), 0).pinned = True
-        cache.insert(make_chunk(1), benefit=0.0)
-        cache.insert(make_chunk(2), benefit=0.0)
+        admit(cache, make_chunk(1), benefit=0.0)
+        admit(cache, make_chunk(2), benefit=0.0)
         assert cache.contains((1,), 0)
         assert not cache.contains((1,), 1)
 
@@ -64,9 +65,9 @@ class TestLRUPolicy:
         lru = ChunkCache(80, make_policy("lru"), BPT)
         clock = ChunkCache(80, make_policy("benefit"), BPT)
         for cache in (lru, clock):
-            cache.insert(make_chunk(0), benefit=10_000.0)
-            cache.insert(make_chunk(1), benefit=0.0)
-            cache.insert(make_chunk(2), benefit=0.0)
+            admit(cache, make_chunk(0), benefit=10_000.0)
+            admit(cache, make_chunk(1), benefit=0.0)
+            admit(cache, make_chunk(2), benefit=0.0)
         assert not lru.contains((1,), 0)
         assert clock.contains((1,), 0)
 
@@ -74,15 +75,15 @@ class TestLRUPolicy:
 class TestBenefitPolicy:
     def test_higher_benefit_survives(self):
         cache = ChunkCache(80, make_policy("benefit"), BPT)
-        cache.insert(make_chunk(0), benefit=0.0)
-        cache.insert(make_chunk(1), benefit=1000.0)
-        cache.insert(make_chunk(2), benefit=0.0)  # forces one eviction
+        admit(cache, make_chunk(0), benefit=0.0)
+        admit(cache, make_chunk(1), benefit=1000.0)
+        admit(cache, make_chunk(2), benefit=0.0)  # forces one eviction
         assert cache.contains((1,), 1)
         assert not cache.contains((1,), 0)
 
     def test_hit_restores_clock(self):
         cache = ChunkCache(1000, make_policy("benefit"), BPT)
-        cache.insert(make_chunk(0), benefit=100.0)
+        admit(cache, make_chunk(0), benefit=100.0)
         entry = cache.entry((1,), 0)
         entry.clock = 0.0
         cache.get((1,), 0)
@@ -90,12 +91,12 @@ class TestBenefitPolicy:
 
     def test_no_class_preference(self):
         cache = ChunkCache(80, make_policy("benefit"), BPT)
-        cache.insert(make_chunk(0, origin=ChunkOrigin.BACKEND), benefit=0.0)
-        cache.insert(
+        admit(cache, make_chunk(0, origin=ChunkOrigin.BACKEND), benefit=0.0)
+        admit(cache, 
             make_chunk(1, origin=ChunkOrigin.CACHE_COMPUTED), benefit=0.0
         )
         # A computed chunk can displace a backend chunk under plain benefit.
-        outcome = cache.insert(
+        outcome = admit(cache, 
             make_chunk(2, origin=ChunkOrigin.CACHE_COMPUTED), benefit=0.0
         )
         assert outcome.inserted
@@ -105,9 +106,9 @@ class TestBenefitPolicy:
 class TestTwoLevelPolicy:
     def test_computed_cannot_displace_backend(self):
         cache = ChunkCache(80, make_policy("two_level"), BPT)
-        cache.insert(make_chunk(0, origin=ChunkOrigin.BACKEND), benefit=0.0)
-        cache.insert(make_chunk(1, origin=ChunkOrigin.PRELOAD), benefit=0.0)
-        outcome = cache.insert(
+        admit(cache, make_chunk(0, origin=ChunkOrigin.BACKEND), benefit=0.0)
+        admit(cache, make_chunk(1, origin=ChunkOrigin.PRELOAD), benefit=0.0)
+        outcome = admit(cache, 
             make_chunk(2, origin=ChunkOrigin.CACHE_COMPUTED), benefit=999.0
         )
         assert not outcome.inserted
@@ -115,11 +116,11 @@ class TestTwoLevelPolicy:
 
     def test_backend_displaces_computed_first(self):
         cache = ChunkCache(80, make_policy("two_level"), BPT)
-        cache.insert(
+        admit(cache, 
             make_chunk(0, origin=ChunkOrigin.CACHE_COMPUTED), benefit=999.0
         )
-        cache.insert(make_chunk(1, origin=ChunkOrigin.BACKEND), benefit=0.0)
-        outcome = cache.insert(
+        admit(cache, make_chunk(1, origin=ChunkOrigin.BACKEND), benefit=0.0)
+        outcome = admit(cache, 
             make_chunk(2, origin=ChunkOrigin.BACKEND), benefit=0.0
         )
         assert outcome.inserted
@@ -130,9 +131,9 @@ class TestTwoLevelPolicy:
 
     def test_backend_falls_back_to_backend_victims(self):
         cache = ChunkCache(80, make_policy("two_level"), BPT)
-        cache.insert(make_chunk(0, origin=ChunkOrigin.BACKEND), benefit=0.0)
-        cache.insert(make_chunk(1, origin=ChunkOrigin.BACKEND), benefit=5.0)
-        outcome = cache.insert(
+        admit(cache, make_chunk(0, origin=ChunkOrigin.BACKEND), benefit=0.0)
+        admit(cache, make_chunk(1, origin=ChunkOrigin.BACKEND), benefit=5.0)
+        outcome = admit(cache, 
             make_chunk(2, origin=ChunkOrigin.BACKEND), benefit=0.0
         )
         assert outcome.inserted
@@ -140,13 +141,13 @@ class TestTwoLevelPolicy:
 
     def test_computed_displaces_computed(self):
         cache = ChunkCache(80, make_policy("two_level"), BPT)
-        cache.insert(
+        admit(cache, 
             make_chunk(0, origin=ChunkOrigin.CACHE_COMPUTED), benefit=0.0
         )
-        cache.insert(
+        admit(cache, 
             make_chunk(1, origin=ChunkOrigin.CACHE_COMPUTED), benefit=50.0
         )
-        outcome = cache.insert(
+        outcome = admit(cache, 
             make_chunk(2, origin=ChunkOrigin.CACHE_COMPUTED), benefit=1.0
         )
         assert outcome.inserted
@@ -156,8 +157,8 @@ class TestTwoLevelPolicy:
     def test_group_reinforcement_bumps_clocks(self):
         policy = make_policy("two_level")
         cache = ChunkCache(1000, policy, BPT)
-        cache.insert(make_chunk(0), benefit=1.0)
-        cache.insert(make_chunk(1), benefit=1.0)
+        admit(cache, make_chunk(0), benefit=1.0)
+        admit(cache, make_chunk(1), benefit=1.0)
         entries = [cache.entry((1,), n) for n in range(2)]
         before = [e.clock for e in entries]
         policy.on_aggregate_use(entries, benefit_ms=100.0)
@@ -169,7 +170,7 @@ class TestTwoLevelPolicy:
 
         policy = TwoLevelPolicy(reinforce_groups=False)
         cache = ChunkCache(1000, policy, BPT)
-        cache.insert(make_chunk(0), benefit=1.0)
+        admit(cache, make_chunk(0), benefit=1.0)
         entry = cache.entry((1,), 0)
         before = entry.clock
         policy.on_aggregate_use([entry], benefit_ms=100.0)
@@ -179,10 +180,10 @@ class TestTwoLevelPolicy:
         policy = make_policy("two_level")
         cache = ChunkCache(120, policy, BPT)
         for n in range(3):
-            cache.insert(make_chunk(n), benefit=0.0)
+            admit(cache, make_chunk(n), benefit=0.0)
         policy.on_aggregate_use([cache.entry((1,), 1)], benefit_ms=1000.0)
         # Two more backend inserts force two evictions: the reinforced
         # chunk must be the survivor.
-        cache.insert(make_chunk(3), benefit=0.0)
-        cache.insert(make_chunk(4), benefit=0.0)
+        admit(cache, make_chunk(3), benefit=0.0)
+        admit(cache, make_chunk(4), benefit=0.0)
         assert cache.contains((1,), 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import AggregateCache, Query
@@ -38,6 +39,72 @@ def test_roundtrip_restores_contents(warm_manager, tiny_schema, tiny_backend, tm
     assert set(fresh.cache.resident_keys()) == set(
         warm_manager.cache.resident_keys()
     )
+
+
+def warm(tiny_schema, tiny_backend, strategy):
+    manager = AggregateCache(
+        tiny_schema, tiny_backend, capacity_bytes=1 << 20, strategy=strategy
+    )
+    manager.query(Query.full_level(tiny_schema, (0, 0, 0)))
+    manager.query(Query.full_level(tiny_schema, (1, 1, 0)))
+    return manager
+
+
+@pytest.mark.parametrize("strategy", ["vcm", "vcmc"])
+def test_roundtrip_restores_summary_state(
+    strategy, tiny_schema, tiny_backend, tmp_path
+):
+    """A restored manager equals the snapshotted one in resident set and
+    in every maintained Count, Cost and BestParent entry."""
+    original = warm(tiny_schema, tiny_backend, strategy)
+    path = tmp_path / "cache.npz"
+    saved = save_cache_snapshot(original, path)
+    fresh = AggregateCache(
+        tiny_schema,
+        tiny_backend,
+        capacity_bytes=1 << 20,
+        strategy=strategy,
+        preload=False,
+    )
+    assert load_cache_snapshot(fresh, path) == saved
+    assert set(fresh.cache.resident_keys()) == set(
+        original.cache.resident_keys()
+    )
+    for level in tiny_schema.all_levels():
+        assert np.array_equal(
+            fresh.strategy.counts.counts_array(level),
+            original.strategy.counts.counts_array(level),
+        )
+        if strategy == "vcmc":
+            assert np.array_equal(
+                fresh.strategy.costs.cost_array(level),
+                original.strategy.costs.cost_array(level),
+            )
+            assert np.array_equal(
+                fresh.strategy.costs.best_array(level),
+                original.strategy.costs.best_array(level),
+            )
+    fresh.check_invariants()
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.25, 0.1])
+def test_restore_counts_only_chunks_still_resident(
+    fraction, warm_manager, tiny_schema, tiny_backend, tmp_path
+):
+    """Into a smaller cache, a chunk admitted early in the restore can be
+    displaced by a later one; the returned count is what stayed."""
+    path = tmp_path / "cache.npz"
+    save_cache_snapshot(warm_manager, path)
+    small = AggregateCache(
+        tiny_schema,
+        tiny_backend,
+        capacity_bytes=int(warm_manager.cache.used_bytes * fraction),
+        strategy="vcmc",
+        preload=False,
+    )
+    restored = load_cache_snapshot(small, path)
+    assert restored == len(small.cache)
+    small.check_invariants()
 
 
 def test_restored_strategy_state_is_consistent(

@@ -9,6 +9,7 @@ from repro.cache.replacement import make_policy
 from repro.cache.store import ChunkCache
 from repro.chunks import Chunk, ChunkOrigin
 from repro.util.errors import ReproError
+from tests.helpers import admit
 
 BPT = 10  # bytes per tuple used throughout these tests
 
@@ -31,7 +32,7 @@ def make_cache(capacity=100, policy="benefit"):
 def test_insert_and_read_back():
     cache = make_cache()
     chunk = make_chunk()
-    outcome = cache.insert(chunk, benefit=1.0)
+    outcome = admit(cache, chunk, benefit=1.0)
     assert outcome.inserted and not outcome.evicted
     assert cache.contains((1,), 0)
     assert cache.get((1,), 0) is chunk
@@ -48,7 +49,7 @@ def test_get_missing_raises_and_counts_miss():
 
 def test_peek_does_not_touch_stats():
     cache = make_cache()
-    cache.insert(make_chunk(), benefit=1.0)
+    admit(cache, make_chunk(), benefit=1.0)
     hits_before = cache.stats.hits
     assert cache.peek((1,), 0) is not None
     assert cache.peek((1,), 1) is None
@@ -57,7 +58,7 @@ def test_peek_does_not_touch_stats():
 
 def test_oversized_chunk_rejected():
     cache = make_cache(capacity=30)
-    outcome = cache.insert(make_chunk(cells=4), benefit=1.0)  # 40 bytes
+    outcome = admit(cache, make_chunk(cells=4), benefit=1.0)  # 40 bytes
     assert not outcome.inserted
     assert cache.stats.rejects == 1
     assert cache.used_bytes == 0
@@ -66,8 +67,8 @@ def test_oversized_chunk_rejected():
 def test_eviction_frees_exactly_enough():
     cache = make_cache(capacity=100)
     for n in range(2):  # 2 x 40 bytes
-        cache.insert(make_chunk(number=n), benefit=0.0)
-    outcome = cache.insert(make_chunk(number=2, cells=3), benefit=0.0)
+        admit(cache, make_chunk(number=n), benefit=0.0)
+    outcome = admit(cache, make_chunk(number=2, cells=3), benefit=0.0)
     assert outcome.inserted
     assert len(outcome.evicted) == 1
     assert cache.used_bytes <= 100
@@ -76,13 +77,13 @@ def test_eviction_frees_exactly_enough():
 def test_rejected_insert_leaves_cache_untouched():
     cache = make_cache(capacity=100)
     for n in range(2):
-        cache.insert(make_chunk(number=n), benefit=0.0)
+        admit(cache, make_chunk(number=n), benefit=0.0)
     resident_before = set(cache.resident_keys())
     # Incoming cache-computed chunk may not evict backend-class chunks
     # under the two-level policy; with benefit policy use pinning instead.
     for entry in cache.entries():
         entry.pinned = True
-    outcome = cache.insert(make_chunk(number=5, cells=10), benefit=9.0)
+    outcome = admit(cache, make_chunk(number=5, cells=10), benefit=9.0)
     assert not outcome.inserted
     assert set(cache.resident_keys()) == resident_before
     assert cache.used_bytes == 80
@@ -90,8 +91,8 @@ def test_rejected_insert_leaves_cache_untouched():
 
 def test_reinsert_resident_refreshes_not_duplicates():
     cache = make_cache()
-    cache.insert(make_chunk(), benefit=1.0)
-    outcome = cache.insert(make_chunk(), benefit=5.0)
+    admit(cache, make_chunk(), benefit=1.0)
+    outcome = admit(cache, make_chunk(), benefit=5.0)
     assert not outcome.inserted
     assert len(cache) == 1
     assert cache.entry((1,), 0).benefit == 5.0
@@ -100,20 +101,20 @@ def test_reinsert_resident_refreshes_not_duplicates():
 def test_empty_chunks_cached_for_free():
     cache = make_cache(capacity=50)
     empty = Chunk.empty((1,), 3, ndims=1)
-    assert cache.insert(empty, benefit=0.0).inserted
+    assert admit(cache, empty, benefit=0.0).inserted
     assert cache.contains((1,), 3)
     assert cache.used_bytes == 0
 
 
 def test_explicit_evict():
     cache = make_cache()
-    cache.insert(make_chunk(), benefit=1.0)
-    chunk = cache.evict((1,), 0)
+    admit(cache, make_chunk(), benefit=1.0)
+    (chunk,) = cache.evict_many([((1,), 0)])
     assert chunk.number == 0
     assert not cache.contains((1,), 0)
     assert cache.used_bytes == 0
     with pytest.raises(ReproError):
-        cache.evict((1,), 0)
+        cache.evict_many([((1,), 0)])
 
 
 def test_capacity_must_be_positive():
@@ -123,11 +124,11 @@ def test_capacity_must_be_positive():
 
 def test_pinned_entries_never_evicted():
     cache = make_cache(capacity=80)
-    cache.insert(make_chunk(number=0), benefit=0.0)
+    admit(cache, make_chunk(number=0), benefit=0.0)
     cache.entry((1,), 0).pinned = True
-    cache.insert(make_chunk(number=1), benefit=0.0)
+    admit(cache, make_chunk(number=1), benefit=0.0)
     # Inserting a third chunk can only evict the unpinned one.
-    outcome = cache.insert(make_chunk(number=2), benefit=0.0)
+    outcome = admit(cache, make_chunk(number=2), benefit=0.0)
     assert outcome.inserted
     assert cache.contains((1,), 0)
     assert not cache.contains((1,), 1)
@@ -135,9 +136,9 @@ def test_pinned_entries_never_evicted():
 
 def test_stats_counters():
     cache = make_cache(capacity=80)
-    cache.insert(make_chunk(number=0), benefit=0.0)
-    cache.insert(make_chunk(number=1), benefit=0.0)
-    cache.insert(make_chunk(number=2), benefit=0.0)
+    admit(cache, make_chunk(number=0), benefit=0.0)
+    admit(cache, make_chunk(number=1), benefit=0.0)
+    admit(cache, make_chunk(number=2), benefit=0.0)
     cache.get((1,), 2)
     assert cache.stats.inserts == 3
     assert cache.stats.evictions == 1
@@ -146,7 +147,7 @@ def test_stats_counters():
 
 def test_replace_many_swaps_payload_preserving_entry_state():
     cache = make_cache(capacity=200)
-    cache.insert(make_chunk(number=0), benefit=3.5)
+    admit(cache, make_chunk(number=0), benefit=3.5)
     entry = cache.entry((1,), 0)
     entry.pinned = True
     clock_before = entry.clock
@@ -165,7 +166,7 @@ def test_replace_many_swaps_payload_preserving_entry_state():
 
 def test_replace_many_adjusts_byte_accounting():
     cache = make_cache(capacity=200)
-    cache.insert(make_chunk(number=0, cells=4), benefit=1.0)  # 40 bytes
+    admit(cache, make_chunk(number=0, cells=4), benefit=1.0)  # 40 bytes
     assert cache.used_bytes == 40
     cache.replace_many([(((1,), 0), make_chunk(number=0, cells=6))])
     assert cache.used_bytes == 60
@@ -181,7 +182,7 @@ def test_replace_many_rejects_missing_entry():
 
 def test_replace_many_rejects_mismatched_key():
     cache = make_cache()
-    cache.insert(make_chunk(number=0), benefit=1.0)
+    admit(cache, make_chunk(number=0), benefit=1.0)
     with pytest.raises(ReproError, match="does not match"):
         cache.replace_many([(((1,), 0), make_chunk(number=1))])
 
@@ -190,8 +191,8 @@ def test_replace_many_overflow_evicts_unpinned_victims():
     # Growing a patched chunk past capacity reclaims space through the
     # ordinary victim sweep; the patched (pinned) entry itself survives.
     cache = make_cache(capacity=100)
-    cache.insert(make_chunk(number=0, cells=4), benefit=0.0)
-    cache.insert(make_chunk(number=1, cells=4), benefit=0.0)
+    admit(cache, make_chunk(number=0, cells=4), benefit=0.0)
+    admit(cache, make_chunk(number=1, cells=4), benefit=0.0)
     cache.entry((1,), 0).pinned = True
     grown = make_chunk(number=0, cells=9)  # 40 -> 90 bytes
     evicted = cache.replace_many([(((1,), 0), grown)])
@@ -202,8 +203,8 @@ def test_replace_many_overflow_evicts_unpinned_victims():
 
 def test_replace_many_all_pinned_runs_over_budget():
     cache = make_cache(capacity=100)
-    cache.insert(make_chunk(number=0, cells=4), benefit=0.0)
-    cache.insert(make_chunk(number=1, cells=4), benefit=0.0)
+    admit(cache, make_chunk(number=0, cells=4), benefit=0.0)
+    admit(cache, make_chunk(number=1, cells=4), benefit=0.0)
     for n in range(2):
         cache.entry((1,), n).pinned = True
     evicted = cache.replace_many(

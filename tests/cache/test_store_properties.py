@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.cache.replacement import make_policy
 from repro.cache.store import ChunkCache
 from repro.chunks import Chunk, ChunkOrigin
+from tests.helpers import admit
 
 BPT = 10
 
@@ -54,7 +55,7 @@ def test_accounting_invariants_under_churn(capacity, policy_name, operations):
             ChunkOrigin.BACKEND if is_backend else ChunkOrigin.CACHE_COMPUTED
         )
         chunk = make_chunk(number, cells, origin)
-        outcome = cache.insert(chunk, benefit=benefit)
+        outcome = admit(cache, chunk, benefit=benefit)
         for evicted in outcome.evicted:
             assert evicted.key in resident
             del resident[evicted.key]
@@ -85,10 +86,10 @@ def test_two_level_never_evicts_backend_for_computed(operations):
         chunk = make_chunk(
             number + 100, cells, ChunkOrigin.CACHE_COMPUTED
         )
-        outcome = cache.insert(chunk, benefit=1.0)
+        outcome = admit(cache, chunk, benefit=1.0)
         for evicted in outcome.evicted:
             assert not evicted.origin.is_backend_class
         # Interleave a backend insert to create pressure (backend chunks
         # may displace each other — only the computed->backend direction
         # is forbidden).
-        cache.insert(make_chunk(number, cells, ChunkOrigin.BACKEND), 1.0)
+        admit(cache, make_chunk(number, cells, ChunkOrigin.BACKEND), 1.0)

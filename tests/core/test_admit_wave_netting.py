@@ -63,7 +63,7 @@ def test_evict_insert_evict_key_is_cascaded_out(tiny_schema, tiny_facts):
         preload=False,
     )
     # X is resident before the wave (as if a racing query admitted it).
-    manager._insert(fetch_chunk(backend, level, x_num, 1.0), benefit=1.0)
+    manager._admit_wave([fetch_chunk(backend, level, x_num, 1.0)])
     assert manager.cache.contains(level, x_num)
     assert manager.strategy.counts.count(level, x_num) == 1
 

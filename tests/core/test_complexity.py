@@ -16,6 +16,7 @@ from repro.core.sizes import SizeEstimator
 from repro.core.strategies import make_strategy
 from repro.schema import apb_tiny_schema
 from repro.schema.lattice import count_walks_to_base, paths_to_base
+from tests.helpers import admit
 
 
 @pytest.fixture
@@ -40,9 +41,9 @@ def load_base(schema, cache, strategies):
     backend = BackendDatabase(schema, facts)
     for n in range(schema.num_chunks(schema.base_level)):
         chunk = backend.compute_chunk(schema.base_level, n)
-        cache.insert(chunk, benefit=1.0)
+        admit(cache, chunk, benefit=1.0)
         for strategy in strategies:
-            strategy.on_insert(schema.base_level, n)
+            strategy.on_insert_many([(schema.base_level, n)])
 
 
 def test_esm_empty_cache_visits_equal_walk_census(schema, sizes, empty_cache_):

@@ -46,7 +46,7 @@ def assert_costs_match_oracle(schema, sizes, store, cached):
 def load_base(schema, store):
     cached = set()
     for n in range(schema.num_chunks(schema.base_level)):
-        store.on_insert(schema.base_level, n)
+        store.on_insert_many([(schema.base_level, n)])
         cached.add((schema.base_level, n))
     return cached
 
@@ -54,9 +54,9 @@ def load_base(schema, store):
 def test_computability_always_exact(schema, sizes):
     store = CostStore(schema, sizes)
     cached = load_base(schema, store)
-    store.on_insert((1, 1, 0), 0)
+    store.on_insert_many([((1, 1, 0), 0)])
     cached.add(((1, 1, 0), 0))
-    store.on_evict(schema.base_level, 0)
+    store.on_evict_many([(schema.base_level, 0)])
     cached.discard((schema.base_level, 0))
     for level, number in all_keys(schema):
         expected = oracle_computable(schema, cached, level, number)
@@ -68,7 +68,7 @@ def test_zero_tolerance_is_exact(schema, sizes):
     over a full base leaves every chunk at its true least cost."""
     exact = CostStore(schema, sizes)
     cached = load_base(schema, exact)
-    exact.on_insert((0, 1, 1), 1)
+    exact.on_insert_many([((0, 1, 1), 1)])
     cached.add(((0, 1, 1), 1))
     for level, number in all_keys(schema):
         truth = oracle_min_cost(schema, sizes, cached, level, number)
@@ -88,7 +88,7 @@ def test_empty_cache_all_infinite(schema, sizes):
 
 def test_cached_chunk_costs_zero(schema, sizes):
     store = CostStore(schema, sizes)
-    store.on_insert((1, 1, 1), 0)
+    store.on_insert_many([((1, 1, 1), 0)])
     assert store.cost((1, 1, 1), 0) == 0.0
     assert store.is_cached((1, 1, 1), 0)
     assert store.best_parent_level((1, 1, 1), 0) is None
@@ -99,7 +99,7 @@ def test_full_base_costs_match_oracle(schema, sizes):
     cached = set()
     base = schema.base_level
     for n in range(schema.num_chunks(base)):
-        store.on_insert(base, n)
+        store.on_insert_many([(base, n)])
         cached.add((base, n))
     assert_costs_match_oracle(schema, sizes, store, cached)
 
@@ -110,7 +110,7 @@ def test_best_parent_is_argmin(schema, sizes):
     base = schema.base_level
     cached = set()
     for n in range(schema.num_chunks(base)):
-        store.on_insert(base, n)
+        store.on_insert_many([(base, n)])
         cached.add((base, n))
     for level, number in all_keys(schema):
         if store.is_cached(level, number) or not store.is_computable(
@@ -131,11 +131,11 @@ def test_inserting_nearer_ancestor_lowers_cost(schema, sizes):
     store = CostStore(schema, sizes)
     base = schema.base_level
     for n in range(schema.num_chunks(base)):
-        store.on_insert(base, n)
+        store.on_insert_many([(base, n)])
     apex_cost_from_base = store.cost(schema.apex_level, 0)
     mid = (0, 1, 1)  # immediate parent of the apex on Product
     for n in range(schema.num_chunks(mid)):
-        store.on_insert(mid, n)
+        store.on_insert_many([(mid, n)])
     assert store.cost(schema.apex_level, 0) < apex_cost_from_base
     assert store.best_parent_level(schema.apex_level, 0) == (1, 0, 0) or (
         store.cost(schema.apex_level, 0) > 0
@@ -147,14 +147,14 @@ def test_evict_restores_previous_costs(schema, sizes):
     base = schema.base_level
     cached = set()
     for n in range(schema.num_chunks(base)):
-        store.on_insert(base, n)
+        store.on_insert_many([(base, n)])
         cached.add((base, n))
     snapshot = {
         key: store.cost(*key) for key in all_keys(schema)
     }
     mid = (1, 1, 0)
-    store.on_insert(mid, 0)
-    store.on_evict(mid, 0)
+    store.on_insert_many([(mid, 0)])
+    store.on_evict_many([(mid, 0)])
     for key in all_keys(schema):
         after = store.cost(*key)
         assert after == pytest.approx(snapshot[key])
@@ -166,10 +166,10 @@ def test_evicting_base_chunk_breaks_descendants(schema, sizes):
     base = schema.base_level
     cached = set()
     for n in range(schema.num_chunks(base)):
-        store.on_insert(base, n)
+        store.on_insert_many([(base, n)])
         cached.add((base, n))
     victim = (base, 0)
-    store.on_evict(*victim)
+    store.on_evict_many([victim])
     cached.discard(victim)
     assert_costs_match_oracle(schema, sizes, store, cached)
     assert not store.is_computable(schema.apex_level, 0)
@@ -178,12 +178,12 @@ def test_evicting_base_chunk_breaks_descendants(schema, sizes):
 def test_evict_uncached_raises(schema, sizes):
     store = CostStore(schema, sizes)
     with pytest.raises(ReproError):
-        store.on_evict(schema.base_level, 0)
+        store.on_evict_many([(schema.base_level, 0)])
 
 
 def test_update_counters(schema, sizes):
     store = CostStore(schema, sizes)
-    updates = store.on_insert(schema.apex_level, 0)
+    updates = store.on_insert_many([(schema.apex_level, 0)])
     assert updates == 1
     assert store.total_updates == 1
 
@@ -217,9 +217,9 @@ def test_costs_match_oracle_under_random_ops(operations):
             continue
         key = candidates[pick % len(candidates)]
         if is_insert:
-            store.on_insert(*key)
+            store.on_insert_many([key])
             cached.add(key)
         else:
-            store.on_evict(*key)
+            store.on_evict_many([key])
             cached.discard(key)
     assert_costs_match_oracle(schema, sizes, store, cached)

@@ -49,7 +49,7 @@ def test_empty_cache_counts_all_zero(schema):
 
 def test_single_base_chunk_insert(schema):
     store = CountStore(schema)
-    store.on_insert(schema.base_level, 0)
+    store.on_insert_many([(schema.base_level, 0)])
     assert store.count(schema.base_level, 0) == 1
     assert_property_1(schema, store, {(schema.base_level, 0)})
 
@@ -59,7 +59,7 @@ def test_full_base_level_makes_everything_computable(schema):
     cached = set()
     base = schema.base_level
     for n in range(schema.num_chunks(base)):
-        store.on_insert(base, n)
+        store.on_insert_many([(base, n)])
         cached.add((base, n))
     for level, number in all_keys(schema):
         assert store.is_computable(level, number)
@@ -92,7 +92,7 @@ def test_paper_figure4_counts():
         ((0, 1), 1),
         ((0, 0), 0),
     ]:
-        store.on_insert(level, number)
+        store.on_insert_many([(level, number)])
     # Base level: counts are pure presence.
     assert [store.count((1, 1), n) for n in range(4)] == [1, 0, 1, 1]
     # (0,1) chunk 0 is NOT cached but computable via (1,1) chunks {0, 2}:
@@ -108,25 +108,25 @@ def test_insert_then_evict_restores_zero_state(schema):
     store = CountStore(schema)
     keys = [(schema.base_level, 0), ((1, 1, 1), 1), ((0, 1, 0), 0)]
     for level, number in keys:
-        store.on_insert(level, number)
+        store.on_insert_many([(level, number)])
     for level, number in reversed(keys):
-        store.on_evict(level, number)
+        store.on_evict_many([(level, number)])
     assert all(store.count(l, n) == 0 for l, n in all_keys(schema))
 
 
 def test_evict_uncounted_chunk_raises(schema):
     store = CountStore(schema)
     with pytest.raises(ReproError, match="underflow"):
-        store.on_evict(schema.base_level, 0)
+        store.on_evict_many([(schema.base_level, 0)])
 
 
 def test_duplicate_insert_stacks_counts(schema):
     # The same chunk inserted twice (cache re-admission is guarded at the
     # store level, but CountStore itself just counts).
     store = CountStore(schema)
-    store.on_insert(schema.base_level, 0)
+    store.on_insert_many([(schema.base_level, 0)])
     first = store.count(schema.base_level, 0)
-    store.on_insert(schema.base_level, 0)
+    store.on_insert_many([(schema.base_level, 0)])
     assert store.count(schema.base_level, 0) == first + 1
 
 
@@ -137,13 +137,13 @@ def test_lemma2_update_bound(schema):
     for level in schema.all_levels():
         store = CountStore(schema)
         bound = n * math.prod(l + 1 for l in level)
-        updates = store.on_insert(level, 0)
+        updates = store.on_insert_many([(level, 0)])
         assert updates <= bound, (level, updates, bound)
 
 
 def test_insert_returns_update_count(schema):
     store = CountStore(schema)
-    updates = store.on_insert(schema.apex_level, 0)
+    updates = store.on_insert_many([(schema.apex_level, 0)])
     assert updates == 1  # apex has no children
     assert store.total_updates == 1
 
@@ -175,17 +175,17 @@ def test_property1_under_random_insert_evict(operations):
             continue
         key = candidates[pick % len(candidates)]
         if is_insert:
-            store.on_insert(*key)
+            store.on_insert_many([key])
             cached.add(key)
         else:
-            store.on_evict(*key)
+            store.on_evict_many([key])
             cached.discard(key)
     assert_property_1(schema, store, cached)
 
 
 def test_counts_array_view(schema):
     store = CountStore(schema)
-    store.on_insert(schema.base_level, 0)
+    store.on_insert_many([(schema.base_level, 0)])
     arr = store.counts_array(schema.base_level)
     assert isinstance(arr, np.ndarray)
     assert arr[0] == 1

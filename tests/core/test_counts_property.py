@@ -45,7 +45,7 @@ def interleavings(draw):
 def rebuild_from(resident) -> CountStore:
     store = CountStore(SCHEMA)
     for level, number in resident:
-        store.on_insert(level, number)
+        store.on_insert_many([(level, number)])
     return store
 
 
@@ -63,10 +63,10 @@ def test_interleaved_inserts_and_evicts_match_recount(ops):
     resident: set = set()
     for key in ops:
         if key in resident:
-            store.on_evict(*key)
+            store.on_evict_many([key])
             resident.discard(key)
         else:
-            store.on_insert(*key)
+            store.on_insert_many([key])
             resident.add(key)
     assert_counts_equal(store, rebuild_from(resident))
 
@@ -79,10 +79,10 @@ def test_full_teardown_returns_to_zero(ops):
     resident: set = set()
     for key in ops:
         if key not in resident:
-            store.on_insert(*key)
+            store.on_insert_many([key])
             resident.add(key)
     for key in resident:
-        store.on_evict(*key)
+        store.on_evict_many([key])
     for level in SCHEMA.all_levels():
         assert not store.counts_array(level).any()
 
@@ -96,4 +96,4 @@ def test_evicting_uncounted_chunk_fails_loudly():
     store = CountStore(SCHEMA)
     level, number = ALL_KEYS[0]
     with pytest.raises(ReproError, match="underflow"):
-        store.on_evict(level, number)
+        store.on_evict_many([(level, number)])

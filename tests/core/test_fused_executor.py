@@ -61,8 +61,9 @@ def manager_with(resident, strategy="vcmc", measure="int") -> AggregateCache:
         policy="benefit",
         preload=False,
     )
-    for level, number in resident:
-        manager._insert(backend.compute_chunk(level, number), benefit=1.0)
+    manager._admit_wave(
+        [backend.compute_chunk(level, number) for level, number in resident]
+    )
     return manager
 
 

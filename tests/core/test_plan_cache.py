@@ -28,6 +28,7 @@ from repro.core.plans import PlanCache, PlanNode, PlanOutcome
 from repro.core.sizes import SizeEstimator
 from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.schema import apb_tiny_schema
+from tests.helpers import admit
 
 
 @pytest.fixture
@@ -202,8 +203,8 @@ def loaded_strategy(schema, with_plan_cache: bool):
     base = schema.base_level
     for number in range(schema.num_chunks(base)):
         chunk = backend.compute_chunk(base, number)
-        cache.insert(chunk, benefit=1.0)
-        strategy.on_insert(base, number)
+        admit(cache, chunk, benefit=1.0)
+        strategy.on_insert_many([(base, number)])
     return strategy
 
 
@@ -226,7 +227,7 @@ def test_stale_plan_cache_entry_replans(schema):
     strategy = loaded_strategy(schema, with_plan_cache=True)
     apex = tuple(0 for _ in schema.base_level)
     strategy.find(apex, 0)
-    strategy.on_evict(schema.base_level, 0)
+    strategy.on_evict_many([(schema.base_level, 0)])
     visits_before = strategy.total_visits
     plan = strategy.find(apex, 0)
     assert strategy.plan_cache.stale_hits == 1
@@ -249,7 +250,7 @@ def test_far_region_eviction_keeps_memo_valid(schema):
     if cache._region_index(base, 0) == cache._region_index(base, last):
         pytest.skip("schema too small for distinct base regions")
     strategy.find(base, 0)
-    strategy.on_evict(base, last)
+    strategy.on_evict_many([(base, last)])
     visits_before = strategy.total_visits
     plan = strategy.find(base, 0)
     assert plan is not None and plan.is_leaf

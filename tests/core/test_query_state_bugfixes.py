@@ -46,15 +46,10 @@ def test_reinforcement_applied_before_admissions(tiny_schema, tiny_facts):
     calls = []
     cache = manager.cache
     original_reinforce = cache.reinforce
-    original_insert = cache.insert
     original_insert_many = cache.insert_many
     cache.reinforce = lambda *a, **k: (
         calls.append("reinforce"),
         original_reinforce(*a, **k),
-    )[1]
-    cache.insert = lambda *a, **k: (
-        calls.append("insert"),
-        original_insert(*a, **k),
     )[1]
     cache.insert_many = lambda *a, **k: (
         calls.append("insert"),
@@ -64,7 +59,6 @@ def test_reinforcement_applied_before_admissions(tiny_schema, tiny_facts):
         result = manager.query(Query.full_level(tiny_schema, level))
     finally:
         del cache.reinforce
-        del cache.insert
         del cache.insert_many
 
     assert result.aggregated > 0, "query must exercise the aggregate path"

@@ -79,3 +79,37 @@ def test_estimate_tracks_actual_sizes():
         est = sizes.chunk_tuples(schema.base_level, number)
         act = backend.base_chunk(number).size_tuples
         assert abs(est - act) / max(act, 1) < 0.5
+
+
+def test_exact_fills_equal_the_unique_count(schema):
+    """``SizeEstimator.exact`` counts distinct cells per level by sorting;
+    every fill equals the ``np.unique`` count it replaced, bit for bit."""
+    import numpy as np
+
+    from repro import generate_fact_table
+
+    facts = generate_fact_table(schema, num_tuples=300, seed=42)
+    sizes = SizeEstimator.exact(schema, facts)
+    for level in schema.all_levels():
+        coords = [
+            dim.map_ordinals(dim.height, lvl, facts.coords[d])
+            for d, (dim, lvl) in enumerate(zip(schema.dimensions, level))
+        ]
+        flat = np.ravel_multi_index(coords, schema.chunks.cell_shape(level))
+        expected = len(np.unique(flat)) / max(schema.num_cells(level), 1)
+        assert sizes.level_fill(level) == expected, level
+
+
+def test_exact_fills_of_an_empty_table_are_zero(schema):
+    import numpy as np
+
+    from repro.backend.generator import FactTable
+
+    empty = FactTable(
+        schema=schema,
+        coords=tuple(np.zeros(0, dtype=np.int64) for _ in schema.dimensions),
+        values=np.zeros(0),
+        counts=np.zeros(0, dtype=np.int64),
+    )
+    sizes = SizeEstimator.exact(schema, empty)
+    assert all(sizes.level_fill(level) == 0.0 for level in schema.all_levels())

@@ -23,6 +23,7 @@ from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.schema import apb_tiny_schema
 from repro.util.errors import LookupBudgetExceeded, ReproError
 from tests.helpers import (
+    admit,
     direct_aggregate,
     expected_cells_in_chunk,
     oracle_computable,
@@ -41,9 +42,9 @@ def fresh_setup(schema, facts):
 def insert_keys(schema, backend, cache, strategies, keys):
     for level, number in keys:
         chunk = backend.compute_chunk(level, number)
-        cache.insert(chunk, benefit=1.0)
+        admit(cache, chunk, benefit=1.0)
         for strategy in strategies:
-            strategy.on_insert(level, number)
+            strategy.on_insert_many([(level, number)])
 
 
 def all_keys(schema):
@@ -255,9 +256,9 @@ def test_maintenance_consistency_after_evictions(
     cached.update(keys)
     # Evict half the base.
     for level, number in keys[::2]:
-        cache.evict(level, number)
+        cache.evict_many([(level, number)])
         for strategy in strategies:
-            strategy.on_evict(level, number)
+            strategy.on_evict_many([(level, number)])
         cached.discard((level, number))
     for level, number in all_keys(tiny_schema):
         expected = oracle_computable(tiny_schema, cached, level, number)
@@ -295,9 +296,9 @@ def test_all_strategies_agree_randomised(picks, seed):
         if key in cached:
             continue
         chunk = backend.compute_chunk(*key)
-        cache.insert(chunk, benefit=1.0)
+        admit(cache, chunk, benefit=1.0)
         for strategy in strategies:
-            strategy.on_insert(*key)
+            strategy.on_insert_many([key])
         cached.add(key)
     probe_levels = [(0, 0, 0), (1, 1, 0), (2, 0, 1)]
     for level in probe_levels:

@@ -31,6 +31,12 @@ COMPARED_FIELDS = (
 )
 
 
+def admit(cache, chunk: Chunk, benefit: float):
+    """Offer one chunk to a :class:`~repro.cache.store.ChunkCache` as a
+    one-item admission wave; returns its ``InsertOutcome``."""
+    return cache.insert_many([(chunk, benefit)])[0]
+
+
 def assert_chunks_identical(got: Chunk, want: Chunk) -> None:
     """Field-for-field, bit-for-bit chunk equality (exact ``==`` on the
     arrays, same cell order, same dtypes)."""

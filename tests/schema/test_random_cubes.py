@@ -82,7 +82,7 @@ def test_counts_property1_on_random_schema(schema, data):
         key = keys[pick]
         if key in cached:
             continue
-        store.on_insert(*key)
+        store.on_insert_many([key])
         cached.add(key)
     # Spot-check the most aggregated levels (the interesting ones).
     for level in schema.all_levels():

@@ -170,8 +170,8 @@ def test_plan_invalidated_by_racing_eviction_replans(
             # Simulate a concurrent writer: evict one plan leaf after the
             # plan was returned but before it is materialised.
             leaf = next(iter(plan.leaves()))
-            manager.cache.evict(leaf.level, leaf.number)
-            manager.strategy.on_evict(leaf.level, leaf.number)
+            manager.cache.evict_many([(leaf.level, leaf.number)])
+            manager.strategy.on_evict_many([(leaf.level, leaf.number)])
             sabotaged.append(leaf)
         return plan, visits
 
